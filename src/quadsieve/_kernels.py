@@ -1,8 +1,8 @@
 """Hot inner loops behind the sieve, in two interchangeable engines.
 
 The default engine compiles the per-segment strike loop and the bulk
-root computation with numba's @njit (nogil, cached).  A pure
-numpy/Python fallback produces bit-identical results; select it by
+root computation with numba's @njit (nogil, cached).  A numpy fallback
+of whole-array passes produces bit-identical results; select it by
 setting the environment variable QUADSIEVE_ENGINE=numpy (or force the
 compiled path with QUADSIEVE_ENGINE=numba, which raises if numba is
 missing).  Every public entry point also takes an explicit engine
@@ -19,7 +19,7 @@ import os
 
 import numpy as np
 
-from .errors import RangeError
+from .errors import BadFactorizationError, RangeError
 
 # largest n with 4*n*n + 1 < 2**63; also keeps p*p < 2**63 for p <= 2*n
 MAX_INDEX = 1_518_500_249
@@ -128,70 +128,67 @@ if HAVE_NUMBA:
 
 
 # ---------------------------------------------------------------------------
-# numpy fallback
+# numpy fallback: whole-array passes, never a Python loop per prime
 # ---------------------------------------------------------------------------
 
 
-def _least_roots_py(primes: np.ndarray) -> np.ndarray:
-    out = np.empty(primes.size, dtype=np.int64)
-    for j, p in enumerate(primes.tolist()):
-        e = (p - 1) // 2
-        c = 2
-        while pow(c, e, p) != p - 1:
-            c += 1
-        s = pow(c, (p - 1) // 4, p)
-        r = s * ((p + 1) // 2) % p
-        out[j] = min(r, p - r)
-    return out
+def _pow_mod_np(base: np.ndarray, exp: np.ndarray, m: np.ndarray) -> np.ndarray:
+    # square-and-multiply per element; exact while m*m < 2**63 (m < 2*MAX_INDEX)
+    r, b = np.ones_like(m), base % m
+    while exp.any():
+        r = np.where(exp & 1, r * b % m, r)
+        b, exp = b * b % m, exp >> 1
+    return r
 
 
-def _divide_out(cof: np.ndarray, sub: np.ndarray, p: int) -> np.ndarray:
-    # divide p out of cof[sub] repeatedly, returning per-position exponents
-    exps = np.ones(sub.size, dtype=np.int64)
-    cof[sub] //= p
-    live = cof[sub] % p == 0
-    while live.any():
-        tgt = sub[live]
-        cof[tgt] //= p
-        exps[live] += 1
-        live[live] = cof[tgt] % p == 0
-    return exps
+def _least_roots_np(primes: np.ndarray) -> np.ndarray:
+    # smallest non-residue c per prime (c**((p-1)/2) = -1), found by a masked search
+    c, todo, cand = np.empty_like(primes), np.arange(primes.size), 2
+    while todo.size:
+        p = primes[todo]
+        if cand * (cand - 1) >= p.min():  # a prime's least non-residue c has c(c-1) < p
+            raise BadFactorizationError(f"{p.min()} is not prime: it has no non-residue")
+        hit = _pow_mod_np(np.full_like(p, cand), (p - 1) // 2, p) == p - 1
+        c[todo[hit]] = cand
+        todo, cand = todo[~hit], cand + 1
+    r = _pow_mod_np(c, (primes - 1) // 4, primes) * ((primes + 1) // 2) % primes
+    return np.minimum(r, primes - r)
 
 
 def _strike_np(lo: int, hi: int, primes: np.ndarray, roots: np.ndarray):
     n = hi - lo
     idx = np.arange(lo, hi, dtype=np.int64)
     cof = 4 * idx * idx + 1
-    pos_parts, p_parts, e_parts = [], [], []
-    if primes.size:
-        off_a = (roots - lo) % primes
-        off_b = (primes - roots - lo) % primes
-        hitting = np.flatnonzero((off_a < n) | (off_b < n))
-        for j in hitting.tolist():
-            p = int(primes[j])
-            for off in (int(off_a[j]), int(off_b[j])):
-                if off >= n:
-                    continue
-                sub = np.arange(off, n, p, dtype=np.int64)
-                exps = _divide_out(cof, sub, p)
-                pos_parts.append(lo + sub)
-                p_parts.append(np.full(sub.size, p, dtype=np.int64))
-                e_parts.append(exps)
+    # first offset of each branch +-root (mod p), kept only where it lands
+    # here; a stable sort by prime index merges the two ascending runs
+    off_a, off_b = (roots - lo) % primes, (primes - roots - lo) % primes
+    ja, jb = np.flatnonzero(off_a < n), np.flatnonzero(off_b < n)
+    j, off = np.concatenate([ja, jb]), np.concatenate([off_a[ja], off_b[jb]])
+    order = np.argsort(j, kind="stable")
+    p, off = primes[j[order]], off[order]
+    # each (prime, offset) pair expands to off, off + p, ... below n
+    counts = (n - 1 - off) // p + 1
+    step = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    ps = np.repeat(p, counts)
+    pos = np.repeat(off, counts) + step * ps
+    # exponents count from zero, so a pair that does not divide leaves a 0
+    es = np.zeros(pos.size, dtype=np.int64)
+    at, v, d = np.arange(pos.size), cof[pos], ps
+    while at.size:
+        q, r = np.divmod(v, d)
+        hit = r == 0
+        at, v, d = at[hit], q[hit], d[hit]
+        es[at] += 1
+    prod = np.ones(n, dtype=np.int64)
+    np.multiply.at(prod, pos, ps**es)
+    cof //= prod
+    # a leftover above 1 is a prime beyond every struck one: appended, it sorts last
     left = np.flatnonzero(cof > 1)
-    if left.size:
-        pos_parts.append(lo + left)
-        p_parts.append(cof[left].copy())
-        e_parts.append(np.ones(left.size, dtype=np.int64))
-        cof[left] = 1
-    if not pos_parts:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy(), cof
-    return (
-        np.concatenate(pos_parts),
-        np.concatenate(p_parts),
-        np.concatenate(e_parts),
-        cof,
-    )
+    pos, ps = np.concatenate([pos, left]), np.concatenate([ps, cof[left]])
+    es = np.concatenate([es, np.ones(left.size, dtype=np.int64)])
+    cof[left] = 1
+    order = np.argsort(pos, kind="stable")  # ties keep ascending prime order
+    return pos[order] + lo, ps[order], es[order], cof
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +200,13 @@ def least_roots_bulk(primes: np.ndarray, engine: str | None = None) -> np.ndarra
     """Least roots of 4*z**2 + 1 = 0 (mod p) for an array of primes = 1 mod 4."""
     if primes.size == 0:
         return np.empty(0, dtype=np.int64)
+    if primes.max() > 2 * MAX_INDEX:  # p*p must stay below 2**63
+        raise RangeError(f"prime {primes.max()} exceeds the int64 ceiling {2 * MAX_INDEX}")
     if resolve_engine(engine) == "numba":
         out = np.empty(primes.size, dtype=np.int64)
         _least_roots_jit(primes, out)
         return out
-    return _least_roots_py(primes)
+    return _least_roots_np(primes)
 
 
 def strike_segment(lo: int, hi: int, primes: np.ndarray, roots: np.ndarray, engine: str | None = None):
@@ -223,14 +222,14 @@ def strike_segment(lo: int, hi: int, primes: np.ndarray, roots: np.ndarray, engi
         out_p = np.empty(cap, dtype=np.int64)
         out_e = np.empty(cap, dtype=np.int64)
         cnt, cof = _strike_jit(lo, hi, primes, roots, out_pos, out_p, out_e)
-        pos, ps, es = out_pos[:cnt], out_p[:cnt], out_e[:cnt]
+        order = np.argsort(out_pos[:cnt], kind="stable")
+        pos, ps, es = out_pos[order], out_p[order], out_e[order]
     else:
         pos, ps, es, cof = _strike_np(lo, hi, primes, roots)
     # a marked position must actually be divisible; zero exponent means a bug
     if es.size and es.min() <= 0:
         raise AssertionError("strike kernel marked an index its prime does not divide")
-    order = np.argsort(pos, kind="stable")
-    return pos[order], ps[order], es[order], cof
+    return pos, ps, es, cof
 
 
 def warmup(engine: str | None = None) -> str:

@@ -3,10 +3,10 @@
 A prime p divides the value at n exactly when n falls on one of the two
 progressions n = +-root (mod p), so factoring a whole index range means
 striking those progressions for every prime p < 2*hi and dividing out
-repeated powers; any cofactor left at the end is itself prime.  Work
-proceeds in bounded segments so memory stays O(segment) regardless of
-the range, and disjoint segments can be processed by worker threads with
-the output merged back into ascending order.
+repeated powers; any cofactor left at the end is itself prime.  Striking
+goes segment by segment, but the plan holds every prime p <= 2*n_max and
+its root, so memory is O(n_max).  Worker threads overlap only where the
+kernels release the GIL: all of numba, the array passes of numpy.
 """
 
 from __future__ import annotations

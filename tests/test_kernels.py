@@ -4,8 +4,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quadsieve import sqrt_minus_one, terms_digest
+from quadsieve import is_prime, naive_factor, sqrt_minus_one, term_value, terms_digest
 from quadsieve._kernels import (
     HAVE_NUMBA,
     MAX_INDEX,
@@ -14,7 +15,7 @@ from quadsieve._kernels import (
     resolve_engine,
     strike_segment,
 )
-from quadsieve.errors import RangeError
+from quadsieve.errors import BadFactorizationError, RangeError
 from quadsieve.sieve import primes_1mod4
 
 needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
@@ -54,6 +55,25 @@ class TestLeastRootsBulk:
             for p, r in zip(primes.tolist(), bulk.tolist()):
                 assert r == sqrt_minus_one(p), (engine, p)
 
+    def test_top_of_index_range(self):
+        # p*p comes within 2**35 of 2**63 here, where an int64 overflow in
+        # square-and-multiply would show
+        primes, p = [], 2 * MAX_INDEX - 1
+        while len(primes) < 20:
+            if is_prime(p):
+                primes.append(p)
+            p -= 4
+        primes = np.array(primes[::-1], dtype=np.int64)
+        for p, r in zip(primes.tolist(), least_roots_bulk(primes, "numpy").tolist()):
+            assert (4 * r * r + 1) % p == 0 and 1 <= r <= (p - 1) // 2, p
+            assert r == sqrt_minus_one(p), p
+
+    def test_refuses_primes_it_cannot_root(self):
+        with pytest.raises(RangeError):  # p*p would wrap in int64
+            least_roots_bulk(np.array([2 * MAX_INDEX + 3]), "numpy")
+        with pytest.raises(BadFactorizationError):  # 25 is not prime
+            least_roots_bulk(np.array([5, 25]), "numpy")
+
     @needs_numba
     def test_engines_agree(self):
         primes = primes_1mod4(200_000)
@@ -79,6 +99,40 @@ class TestStrikeSegment:
         roots = least_roots_bulk(primes, "numpy")
         _, _, _, cof = strike_segment(100, 300, primes, roots, "numpy")
         assert bool((cof == 1).all())
+
+    @given(lo=st.integers(1, 200_000), width=st.integers(1, 3000))
+    @settings(max_examples=10, deadline=None)
+    def test_matches_trial_division(self, lo, width):
+        hi = lo + width
+        primes = primes_1mod4(2 * hi)
+        roots = least_roots_bulk(primes, "numpy")
+        pos, ps, es, cof = strike_segment(lo, hi, primes, roots, "numpy")
+        assert bool((cof == 1).all())
+        got: dict[int, list] = {}
+        for n, p, e in zip(pos.tolist(), ps.tolist(), es.tolist()):
+            got.setdefault(n, []).append((p, e))
+        assert list(got) == list(range(lo, hi))
+        for n, factors in got.items():
+            assert factors == naive_factor(term_value(n)), n
+
+    def test_corrupt_root_raises_instead_of_hanging(self):
+        # a pair that does not divide must trip the zero-exponent guard; the
+        # subprocess timeout turns a regression into a failure, not a hang
+        code = (
+            "from quadsieve._kernels import least_roots_bulk, strike_segment\n"
+            "from quadsieve.sieve import primes_1mod4\n"
+            "primes = primes_1mod4(200)\n"
+            "roots = least_roots_bulk(primes, 'numpy')\n"
+            "roots[primes == 13] = 1\n"
+            "try:\n"
+            "    strike_segment(1, 100, primes, roots, 'numpy')\n"
+            "except AssertionError:\n"
+            "    print('raised')\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert out.stdout.strip() == "raised", out.stderr
 
 
 class TestDigest:
