@@ -1,6 +1,6 @@
 """Factor sieve, root construction, and coprime census for 4*n*n + 1."""
 
-from ._kernels import HAVE_NUMBA, MAX_INDEX, default_engine, resolve_engine, warmup
+from ._kernels import MAX_INDEX, warmup
 from .census import (
     CensusReport,
     SecondProofWitness,
@@ -18,14 +18,16 @@ from .modarith import (
     crt_combine,
     hensel_lift,
     is_prime,
-    mul_mod,
-    pow_mod,
-    primitive_root,
     sqrt_minus_one,
-    sqrt_minus_one_fast,
 )
-from .oracle import naive_coprime_count, naive_factor, naive_root_scan
-from .roots import RootSet, RootSummary, all_roots, root_summary, verify_first_degree
+from .oracle import (
+    generator_root,
+    naive_coprime_count,
+    naive_factor,
+    naive_root_scan,
+    primitive_root,
+)
+from .roots import RootSet, RootSummary, all_roots, root_summary
 from .sieve import (
     BasisPrime,
     DEFAULT_SEGMENT_SIZE,

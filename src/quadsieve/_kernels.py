@@ -1,12 +1,10 @@
-"""Hot inner loops behind the sieve, in two interchangeable engines.
+"""Hot inner loops behind the sieve: whole-array numpy passes.
 
-The default engine compiles the per-segment strike loop and the bulk
-root computation with numba's @njit (nogil, cached).  A numpy fallback
-of whole-array passes produces bit-identical results; select it by
-setting the environment variable QUADSIEVE_ENGINE=numpy (or force the
-compiled path with QUADSIEVE_ENGINE=numba, which raises if numba is
-missing).  Every public entry point also takes an explicit engine
-argument overriding the environment.
+The bulk least-root computation and the per-segment strike loop only
+over non-residue candidates, exponent bits and prime powers, each step
+one operation on every prime or hit at once, never a Python loop per
+prime.  numpy releases the GIL inside those operations, so segments
+striking on worker threads overlap.
 
 Everything is int64 inside the kernels, hence the hard index ceiling:
 4*n*n + 1 and the squares of candidate primes p <= 2*n must stay below
@@ -15,47 +13,12 @@ Everything is int64 inside the kernels, hence the hard index ceiling:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .errors import BadFactorizationError, RangeError
 
 # largest n with 4*n*n + 1 < 2**63; also keeps p*p < 2**63 for p <= 2*n
 MAX_INDEX = 1_518_500_249
-
-# a value below 2**63 has at most 11 distinct prime factors >= 5, and the
-# strike kernel records one entry per distinct prime per index
-_FACTOR_SLOTS = 12
-
-_ENV_VAR = "QUADSIEVE_ENGINE"
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    njit = None
-    HAVE_NUMBA = False
-
-
-def default_engine() -> str:
-    """Engine picked by the environment: QUADSIEVE_ENGINE, else auto."""
-    env = os.environ.get(_ENV_VAR, "").strip().lower()
-    if env in ("numba", "numpy"):
-        return env
-    if env not in ("", "auto"):
-        raise ValueError(f"{_ENV_VAR} must be 'numba' or 'numpy', got {env!r}")
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-def resolve_engine(engine: str | None = None) -> str:
-    eng = default_engine() if engine in (None, "", "auto") else engine.lower()
-    if eng not in ("numba", "numpy"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if eng == "numba" and not HAVE_NUMBA:
-        raise RangeError("numba engine requested but numba is not importable")
-    return eng
 
 
 def check_index_range(n_max: int) -> None:
@@ -64,71 +27,7 @@ def check_index_range(n_max: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# numba engine
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(nogil=True, cache=True)
-    def _pow_mod_jit(base, exp, m):
-        r = 1
-        b = base % m
-        while exp > 0:
-            if exp & 1:
-                r = r * b % m
-            b = b * b % m
-            exp >>= 1
-        return r
-
-    @njit(nogil=True, cache=True)
-    def _least_roots_jit(primes, out):
-        for j in range(primes.size):
-            p = primes[j]
-            e = (p - 1) // 2
-            c = 2
-            while _pow_mod_jit(c, e, p) != p - 1:
-                c += 1
-            s = _pow_mod_jit(c, (p - 1) // 4, p)
-            r = s * ((p + 1) // 2) % p
-            if p - r < r:
-                r = p - r
-            out[j] = r
-
-    @njit(nogil=True, cache=True)
-    def _strike_jit(lo, hi, primes, roots, out_pos, out_p, out_e):
-        n = hi - lo
-        cof = np.empty(n, np.int64)
-        for i in range(n):
-            idx = lo + i
-            cof[i] = 4 * idx * idx + 1
-        cnt = 0
-        for j in range(primes.size):
-            p = primes[j]
-            for branch in range(2):
-                root = roots[j] if branch == 0 else p - roots[j]
-                for off in range((root - lo) % p, n, p):
-                    c = cof[off]
-                    e = 0
-                    while c % p == 0:
-                        c //= p
-                        e += 1
-                    cof[off] = c
-                    out_pos[cnt] = lo + off
-                    out_p[cnt] = p
-                    out_e[cnt] = e
-                    cnt += 1
-        for i in range(n):
-            if cof[i] > 1:
-                out_pos[cnt] = lo + i
-                out_p[cnt] = cof[i]
-                out_e[cnt] = 1
-                cof[i] = 1
-                cnt += 1
-        return cnt, cof
-
-
-# ---------------------------------------------------------------------------
-# numpy fallback: whole-array passes, never a Python loop per prime
+# array passes
 # ---------------------------------------------------------------------------
 
 
@@ -192,50 +91,35 @@ def _strike_np(lo: int, hi: int, primes: np.ndarray, roots: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# entry points
 # ---------------------------------------------------------------------------
 
 
-def least_roots_bulk(primes: np.ndarray, engine: str | None = None) -> np.ndarray:
+def least_roots_bulk(primes: np.ndarray) -> np.ndarray:
     """Least roots of 4*z**2 + 1 = 0 (mod p) for an array of primes = 1 mod 4."""
     if primes.size == 0:
         return np.empty(0, dtype=np.int64)
     if primes.max() > 2 * MAX_INDEX:  # p*p must stay below 2**63
         raise RangeError(f"prime {primes.max()} exceeds the int64 ceiling {2 * MAX_INDEX}")
-    if resolve_engine(engine) == "numba":
-        out = np.empty(primes.size, dtype=np.int64)
-        _least_roots_jit(primes, out)
-        return out
     return _least_roots_np(primes)
 
 
-def strike_segment(lo: int, hi: int, primes: np.ndarray, roots: np.ndarray, engine: str | None = None):
+def strike_segment(lo: int, hi: int, primes: np.ndarray, roots: np.ndarray):
     """Factor indices [lo, hi) against (prime, root) pairs.
 
     Returns (positions, primes, exponents, cofactor) where the first three
     are parallel arrays sorted by position (ties already in ascending prime
     order) and cofactor is all ones once every factor is accounted for.
     """
-    if resolve_engine(engine) == "numba":
-        cap = _FACTOR_SLOTS * (hi - lo) + 8
-        out_pos = np.empty(cap, dtype=np.int64)
-        out_p = np.empty(cap, dtype=np.int64)
-        out_e = np.empty(cap, dtype=np.int64)
-        cnt, cof = _strike_jit(lo, hi, primes, roots, out_pos, out_p, out_e)
-        order = np.argsort(out_pos[:cnt], kind="stable")
-        pos, ps, es = out_pos[order], out_p[order], out_e[order]
-    else:
-        pos, ps, es, cof = _strike_np(lo, hi, primes, roots)
+    pos, ps, es, cof = _strike_np(lo, hi, primes, roots)
     # a marked position must actually be divisible; zero exponent means a bug
     if es.size and es.min() <= 0:
         raise AssertionError("strike kernel marked an index its prime does not divide")
     return pos, ps, es, cof
 
 
-def warmup(engine: str | None = None) -> str:
-    """Trigger JIT compilation (or a no-op for numpy); returns the engine used."""
-    eng = resolve_engine(engine)
+def warmup() -> str:
+    """Run both kernels once on a tiny input; returns the engine name, "numpy"."""
     primes = np.array([5], dtype=np.int64)
-    roots = least_roots_bulk(primes, eng)
-    strike_segment(1, 3, primes, roots, eng)
-    return eng
+    strike_segment(1, 3, primes, least_roots_bulk(primes))
+    return "numpy"

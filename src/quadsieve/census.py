@@ -190,8 +190,8 @@ def second_proof_witness(k: int) -> SecondProofWitness:
 
     gcd(value, p) = 1 for every basis prime p since value = 1 (mod p**2),
     so the value survives their strikes; its actual factors are new primes,
-    found here by trial division over candidates = 1 (mod 4).  Primality
-    of the value is reported, never assumed.
+    found here by the oracle's trial division.  Primality of the value is
+    reported, never assumed.
     """
     if not (1 <= k <= 5):
         raise RangeError(f"witness supports 1 <= k <= 5 at desk scale, got {k}")
@@ -201,7 +201,7 @@ def second_proof_witness(k: int) -> SecondProofWitness:
     if value > U64_MAX:
         raise RangeError(f"witness value for k={k} exceeds the 64-bit range")
     gcds = tuple(math.gcd(value, b.prime) for b in basis)
-    factors = _factor_by_1mod4(value)
+    factors = tuple(oracle.naive_factor(value))
     return SecondProofWitness(
         k=k,
         basis=basis,
@@ -211,27 +211,3 @@ def second_proof_witness(k: int) -> SecondProofWitness:
         factors=factors,
         value_is_prime=is_prime(value),
     )
-
-
-def _factor_by_1mod4(v: int) -> tuple[tuple[int, int], ...]:
-    # every prime factor of 4*n*n + 1 lies in class 1 mod 4, so candidate
-    # divisors can step through that class only
-    out = []
-    d = 5
-    while d * d <= v:
-        e = 0
-        while v % d == 0:
-            v //= d
-            e += 1
-        if e:
-            out.append((d, e))
-        d += 4
-    if v > 1:
-        out.append((v, 1))
-    return tuple(out)
-
-
-def naive_census_count(basis, horizon: int) -> int:
-    """Oracle passthrough: term-by-term gcd scan (capped at desk scale)."""
-    entries = _as_basis(basis)
-    return oracle.naive_coprime_count([b.prime for b in entries], horizon)

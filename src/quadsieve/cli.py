@@ -19,7 +19,6 @@ import sys
 import time
 
 from . import oracle
-from ._kernels import HAVE_NUMBA, resolve_engine
 from .census import census
 from .errors import QuadsieveError
 from .roots import all_roots, root_summary
@@ -141,9 +140,7 @@ def cmd_terms(args) -> int:
     if not (1 <= lo <= hi):
         raise ValueError(f"need 1 <= from <= to, got {lo}..{hi}")
     emit = Emitter(args.format)
-    for term in sieve_range(
-        hi, args.segment_size, workers=args.workers, engine=args.engine
-    ):
+    for term in sieve_range(hi, args.segment_size, workers=args.workers):
         if term.n < lo:
             continue
         if args.oracle and list(term.factors) != oracle.naive_factor(term.value):
@@ -159,9 +156,7 @@ def cmd_terms(args) -> int:
 
 def cmd_primes(args) -> int:
     emit = Emitter(args.format)
-    indices = enumerate_primes(
-        args.limit, args.segment_size, workers=args.workers, engine=args.engine
-    )
+    indices = enumerate_primes(args.limit, args.segment_size, workers=args.workers)
     for n in indices:
         emit.write("prime", {"n": n, "value": term_value(n)})
     if args.format == "csv":
@@ -233,7 +228,7 @@ def cmd_verify(args) -> int:
     emit = Emitter(args.format)
     worst = 0
     for name in names:
-        result = run_suite(name, args.limit, args.engine)
+        result = run_suite(name, args.limit)
         emit.write(
             "verify",
             {
@@ -249,40 +244,24 @@ def cmd_verify(args) -> int:
     return worst
 
 
-def _bench_once(args, engine: str) -> dict:
-    eng = resolve_engine(engine)
+def cmd_bench(args) -> int:
     chunk = max(args.segment_size, CHUNK_FLOOR)
     n_primes = int(primes_1mod4(2 * args.limit).size)
     start = time.perf_counter()
-    digest = terms_digest(
-        args.limit, args.segment_size, workers=args.workers, engine=eng
-    )
+    digest = terms_digest(args.limit, args.segment_size, workers=args.workers)
     elapsed = time.perf_counter() - start
-    return {
+    record = {
         "limit": args.limit,
         "segment_size": args.segment_size,
         "chunk": chunk,
         "workers": args.workers,
-        "engine": eng,
+        "engine": "numpy",  # the only engine; the column stays for compatibility
         "seconds": round(elapsed, 4),
         "terms_per_second": int(args.limit / elapsed) if elapsed > 0 else 0,
         "digest": digest,
         "peak_segment_bytes": chunk * 8 + chunk * 12 * 24 + n_primes * 16,
     }
-
-
-def cmd_bench(args) -> int:
-    emit = Emitter(args.format)
-    if args.engine == "both":
-        engines = ["numba", "numpy"] if HAVE_NUMBA else ["numpy"]
-        records = [_bench_once(args, e) for e in engines]
-        for rec in records:
-            emit.write("bench", rec)
-        if len({rec["digest"] for rec in records}) != 1:
-            print("engine digests disagree", file=sys.stderr)
-            return 1
-        return 0
-    emit.write("bench", _bench_once(args, args.engine))
+    Emitter(args.format).write("bench", record)
     return 0
 
 
@@ -296,12 +275,16 @@ def _add_common(p, stream: bool = False) -> None:
     if stream:
         p.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT_SIZE)
         p.add_argument("--workers", type=int, default=1)
-        p.add_argument(
-            "--engine",
-            choices=["auto", "numba", "numpy"],
-            default=None,
-            help="kernel engine (default: QUADSIEVE_ENGINE or auto)",
-        )
+        _add_engine(p)
+
+
+def _add_engine(p) -> None:
+    p.add_argument(
+        "--engine",
+        choices=["auto", "numpy"],
+        default=None,
+        help="accepted for compatibility only; numpy is the only engine",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,29 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"suite-specific scale; defaults: {DEFAULT_LIMITS}",
     )
-    p.add_argument("--engine", choices=["auto", "numba", "numpy"], default=None)
-    p.add_argument(
-        "--format",
-        choices=["json-lines", "csv", "table"],
-        default="table",
-    )
+    _add_common(p)
+    _add_engine(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="time the sieve and report a content digest")
     p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT_SIZE)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument(
-        "--engine",
-        choices=["auto", "numba", "numpy", "both"],
-        default=None,
-        help="'both' runs the compiled and fallback engines and compares digests",
-    )
-    p.add_argument(
-        "--format",
-        choices=["json-lines", "csv", "table"],
-        default="table",
-    )
+    _add_common(p, stream=True)
     p.set_defaults(func=cmd_bench)
     return parser
 

@@ -20,10 +20,6 @@ U64_MAX = 2**64 - 1
 # v < 3.3e24, which covers the full 64-bit range.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Above this, sqrt_minus_one switches from the primitive-root construction
-# (which factors p-1 by trial division) to the non-residue power path.
-_RECIPE_CAP = 10**7
-
 
 def _check_modulus(m: int) -> None:
     if not isinstance(m, int):
@@ -32,20 +28,6 @@ def _check_modulus(m: int) -> None:
         raise RangeError(f"modulus {m} exceeds the 64-bit range")
     if m < 3 or m % 2 == 0:
         raise NoRootsError(f"modulus must be odd and >= 3, got {m}")
-
-
-def mul_mod(a: int, b: int, m: int) -> int:
-    """(a * b) mod m, exactly; the product is widened, never truncated."""
-    _check_modulus(m)
-    return (a * b) % m
-
-
-def pow_mod(base: int, exp: int, m: int) -> int:
-    """base**exp mod m by binary exponentiation (the built-in 3-arg pow)."""
-    _check_modulus(m)
-    if exp < 0:
-        raise ValueError("exponent must be nonnegative")
-    return pow(base, exp, m)
 
 
 def is_prime(v: int) -> bool:
@@ -98,94 +80,30 @@ class PrimePower:
         object.__setattr__(self, "value", value)
 
 
-def _factor_all(v: int) -> list[tuple[int, int]]:
-    # plain trial division, used only to factor p-1 for primitive roots
-    out = []
-    for d in (2, 3):
-        e = 0
-        while v % d == 0:
-            v //= d
-            e += 1
-        if e:
-            out.append((d, e))
-    d = 5
-    while d * d <= v:
-        for cand in (d, d + 2):
-            e = 0
-            while v % cand == 0:
-                v //= cand
-                e += 1
-            if e:
-                out.append((cand, e))
-        d += 6
-    if v > 1:
-        out.append((v, 1))
-    return out
-
-
-def primitive_root(p: int) -> int:
-    """Smallest generator of the multiplicative group mod p.
-
-    Verified by checking g**((p-1)/q) != 1 for every prime q dividing p-1.
-    Accepts only primes in class 1 mod 4, the only ones this package needs.
-    """
-    if p % 4 != 1:
-        raise NoRootsError(f"{p} is not congruent to 1 mod 4")
-    if not is_prime(p):
-        raise BadFactorizationError(f"{p} is not prime")
-    if p > 10**12:
-        raise RangeError(f"primitive_root supports p <= 10**12, got {p}")
-    order_checks = [(p - 1) // q for q, _ in _factor_all(p - 1)]
-    for g in range(2, p):
-        if all(pow(g, e, p) != 1 for e in order_checks):
-            return g
-    raise AssertionError(f"no primitive root found for {p}")  # unreachable for prime p
-
-
-def _normalize_half_root(s: int, p: int) -> int:
-    # s*s = -1 (mod p); return the smaller z of the pair solving 4*z*z+1 = 0,
-    # i.e. z = s/2 mod p folded into [1, (p-1)/2]
-    r = s * ((p + 1) // 2) % p
-    return min(r, p - r)
-
-
 def sqrt_minus_one(p: int) -> int:
     """Least z with 4*z**2 + 1 = 0 (mod p), for prime p = 4k + 1.
 
-    Construction: with g a primitive root, t = g**k has t**2 = -1, and
-    z = t/2 if t is even else (p-t)/2.  Large p take the equivalent route
-    through a quadratic non-residue instead of factoring p-1.
+    Construction: the smallest quadratic non-residue c has c**(2k) = -1,
+    so s = c**k squares to -1; z = s/2 mod p solves 4*z**2 + 1 = 0, and
+    folding it into [1, (p-1)/2] picks the lesser of the two roots z and
+    p - z.  Python ints keep every step exact across the 64-bit range;
+    _kernels.least_roots_bulk runs the same algorithm on int64 arrays.
     """
     if p % 4 != 1:
         raise NoRootsError(f"{p} is not congruent to 1 mod 4; no root exists")
     if not is_prime(p):
         raise BadFactorizationError(f"{p} is not prime")
-    if p <= _RECIPE_CAP:
-        k = (p - 1) // 4
-        t = pow(primitive_root(p), k, p)
-        r = t // 2 if t % 2 == 0 else (p - t) // 2
-    else:
-        r = sqrt_minus_one_fast(p)
+    k = (p - 1) // 4
+    c = 2
+    while pow(c, 2 * k, p) != p - 1:
+        c += 1
+    r = pow(c, k, p) * ((p + 1) // 2) % p
+    r = min(r, p - r)
+    # a prime has exactly the two roots r and p - r, so a root in the lower
+    # half is certified to be the least one
     if (4 * r * r + 1) % p != 0 or not (1 <= r <= (p - 1) // 2):
         raise AssertionError(f"root construction failed for p={p}")
     return r
-
-
-def sqrt_minus_one_fast(p: int) -> int:
-    """Same value as sqrt_minus_one via the smallest quadratic non-residue.
-
-    c**((p-1)/2) = -1 for a non-residue c, so s = c**((p-1)/4) squares
-    to -1; halving and folding gives the least root.  This is the bulk
-    path used when many primes need roots.
-    """
-    if p % 4 != 1:
-        raise NoRootsError(f"{p} is not congruent to 1 mod 4; no root exists")
-    e = (p - 1) // 2
-    c = 2
-    while pow(c, e, p) != p - 1:
-        c += 1
-    s = pow(c, (p - 1) // 4, p)
-    return _normalize_half_root(s, p)
 
 
 def hensel_lift(root: int, pp: PrimePower) -> int:

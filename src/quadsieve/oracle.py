@@ -1,8 +1,9 @@
 """Slow reference implementations used as ground truth by tests and --oracle.
 
 These deliberately avoid the clever paths: factoring is trial division,
-root finding is an exhaustive residue scan, coprime counting walks terms
-one by one.  They ship in the library so the CLI can cross-check itself.
+root finding is an exhaustive residue scan or a power of a primitive
+root, coprime counting walks terms one by one.  They ship in the library
+so the CLI can cross-check itself.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ import math
 
 import numpy as np
 
-from .errors import RangeError
+from .errors import BadFactorizationError, NoRootsError, RangeError
+from .modarith import is_prime
 
 NAIVE_COUNT_CAP = 10**6
 
@@ -38,6 +40,41 @@ def naive_factor(v: int) -> list[tuple[int, int]]:
     if v > 1:
         out.append((v, 1))
     return out
+
+
+def primitive_root(p: int) -> int:
+    """Smallest generator of the multiplicative group mod p.
+
+    Verified by checking g**((p-1)/q) != 1 for every prime q dividing p-1.
+    Accepts only primes in class 1 mod 4, the only ones this package needs.
+    """
+    if p % 4 != 1:
+        raise NoRootsError(f"{p} is not congruent to 1 mod 4")
+    if not is_prime(p):
+        raise BadFactorizationError(f"{p} is not prime")
+    if p > 10**12:
+        raise RangeError(f"primitive_root supports p <= 10**12, got {p}")
+    odd = p - 1
+    while odd % 2 == 0:
+        odd //= 2
+    prime_divisors = [2] + ([q for q, _ in naive_factor(odd)] if odd > 1 else [])
+    order_checks = [(p - 1) // q for q in prime_divisors]
+    for g in range(2, p):
+        if all(pow(g, e, p) != 1 for e in order_checks):
+            return g
+    raise AssertionError(f"no primitive root found for {p}")  # unreachable for prime p
+
+
+def generator_root(p: int) -> int:
+    """Least z with 4*z**2 + 1 = 0 (mod p), built from a primitive root.
+
+    With g a primitive root and p = 4k + 1, t = g**k has t**2 = -1, so
+    z = t/2 if t is even else (p - t)/2 solves 4*z**2 + 1 = 0; both land
+    in [1, (p-1)/2], where only the lesser of the two roots lies.  It
+    shares nothing with the non-residue route of the fast paths.
+    """
+    t = pow(primitive_root(p), (p - 1) // 4, p)
+    return t // 2 if t % 2 == 0 else (p - t) // 2
 
 
 def _squares_upto(n: int) -> np.ndarray:

@@ -125,10 +125,3 @@ def least_root_lower_bound(m: int) -> int:
     if s * s < m - 1:
         s += 1
     return (s + 1) // 2
-
-
-def verify_first_degree(p: int) -> bool:
-    """True when the least root of p is strictly below the least root of p**2."""
-    r1 = root_summary(p, [(p, 1)]).least_root
-    r2 = root_summary(p * p, [(p, 2)]).least_root
-    return r1 < r2

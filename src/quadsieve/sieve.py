@@ -4,9 +4,10 @@ A prime p divides the value at n exactly when n falls on one of the two
 progressions n = +-root (mod p), so factoring a whole index range means
 striking those progressions for every prime p < 2*hi and dividing out
 repeated powers; any cofactor left at the end is itself prime.  Striking
-goes segment by segment, but the plan holds every prime p <= 2*n_max and
-its root, so memory is O(n_max).  Worker threads overlap only where the
-kernels release the GIL: all of numba, the array passes of numpy.
+goes segment by segment through the numpy kernels, but the plan holds
+every prime p <= 2*n_max and its root, so memory is O(n_max).  Worker
+threads overlap inside the kernels' array operations, which release the
+GIL.
 """
 
 from __future__ import annotations
@@ -21,13 +22,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import modarith
-from ._kernels import (
-    MAX_INDEX,
-    check_index_range,
-    least_roots_bulk,
-    resolve_engine,
-    strike_segment,
-)
+from ._kernels import MAX_INDEX, check_index_range, least_roots_bulk, strike_segment
 from .errors import BadFactorizationError, RangeError
 
 DEFAULT_SEGMENT_SIZE = 65536
@@ -124,7 +119,7 @@ class SieveSegment:
         """Canonical (n, prime, exponent) triple stream as little-endian int64."""
         return (
             np.column_stack([self.positions, self.primes, self.exponents])
-            .astype("<i8")
+            .astype("<i8", copy=False)
             .tobytes()
         )
 
@@ -173,9 +168,9 @@ def smallest_factor_table(limit: int) -> np.ndarray:
     return spf
 
 
-def _plan(n_max: int, engine: str | None):
+def _plan(n_max: int):
     primes = primes_1mod4(2 * n_max)
-    return primes, least_roots_bulk(primes, engine)
+    return primes, least_roots_bulk(primes)
 
 
 def sieve_segment(
@@ -183,14 +178,13 @@ def sieve_segment(
     hi: int,
     primes: np.ndarray,
     roots: np.ndarray,
-    engine: str | None = None,
 ) -> SieveSegment:
     """Factor one half-open index range against a prepared (prime, root) plan."""
     if not (1 <= lo < hi):
         raise ValueError(f"bad segment bounds [{lo}, {hi})")
     check_index_range(hi - 1)
     cut = int(np.searchsorted(primes, 2 * hi))
-    pos, ps, es, cof = strike_segment(lo, hi, primes[:cut], roots[:cut], engine)
+    pos, ps, es, cof = strike_segment(lo, hi, primes[:cut], roots[:cut])
     return SieveSegment(lo, hi, pos, ps, es, cof)
 
 
@@ -198,7 +192,6 @@ def _segments(
     n_max: int,
     segment_size: int,
     workers: int,
-    engine: str | None,
     chunk_floor: int = CHUNK_FLOOR,
 ) -> Iterator[SieveSegment]:
     if n_max < 1:
@@ -206,13 +199,12 @@ def _segments(
     check_index_range(n_max)
     if segment_size < 1:
         raise ValueError(f"segment_size must be >= 1, got {segment_size}")
-    eng = resolve_engine(engine)
     chunk = max(segment_size, chunk_floor)
-    primes, roots = _plan(n_max, eng)
+    primes, roots = _plan(n_max)
     bounds = [(lo, min(lo + chunk, n_max + 1)) for lo in range(1, n_max + 1, chunk)]
     if workers <= 1:
         for lo, hi in bounds:
-            yield sieve_segment(lo, hi, primes, roots, eng)
+            yield sieve_segment(lo, hi, primes, roots)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending: deque = deque()
@@ -221,12 +213,12 @@ def _segments(
             nxt = next(bound_iter, None)
             if nxt is None:
                 break
-            pending.append(pool.submit(sieve_segment, *nxt, primes, roots, eng))
+            pending.append(pool.submit(sieve_segment, *nxt, primes, roots))
         while pending:
             seg = pending.popleft().result()
             nxt = next(bound_iter, None)
             if nxt is not None:
-                pending.append(pool.submit(sieve_segment, *nxt, primes, roots, eng))
+                pending.append(pool.submit(sieve_segment, *nxt, primes, roots))
             yield seg
 
 
@@ -235,15 +227,14 @@ def sieve_range(
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     *,
     workers: int = 1,
-    engine: str | None = None,
     chunk_floor: int = CHUNK_FLOOR,
 ) -> Iterator[Term]:
     """Stream fully factored terms for n = 1 .. n_max in ascending order.
 
-    Output is identical for every segment_size, worker count, and engine;
-    those knobs trade memory against speed only.
+    Output is identical for every segment_size and worker count; those
+    knobs trade memory against speed only.
     """
-    for seg in _segments(n_max, segment_size, workers, engine, chunk_floor):
+    for seg in _segments(n_max, segment_size, workers, chunk_floor):
         yield from seg.terms()
 
 
@@ -252,7 +243,6 @@ def terms_digest(
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     *,
     workers: int = 1,
-    engine: str | None = None,
     chunk_floor: int = CHUNK_FLOOR,
 ) -> str:
     """Digest of the canonical factorization stream for n = 1 .. n_max.
@@ -261,7 +251,7 @@ def terms_digest(
     equal digests mean identical factorizations term for term.
     """
     h = hashlib.blake2b(digest_size=16)
-    for seg in _segments(n_max, segment_size, workers, engine, chunk_floor):
+    for seg in _segments(n_max, segment_size, workers, chunk_floor):
         h.update(seg.packed())
     return h.hexdigest()
 
@@ -286,11 +276,10 @@ def enumerate_primes(
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     *,
     workers: int = 1,
-    engine: str | None = None,
 ) -> list[int]:
     """Indices n <= n_max whose value 4*n*n + 1 is prime."""
     out: list[int] = []
-    for seg in _segments(n_max, segment_size, workers, engine):
+    for seg in _segments(n_max, segment_size, workers):
         starts = seg._starts()
         ends = np.concatenate([starts[1:], np.array([seg.positions.size])])
         single = np.flatnonzero((ends - starts) == 1)

@@ -90,11 +90,11 @@ def iter_pp(limit: int, spf: np.ndarray | None = None):
             yield m, factors
 
 
-def suite_lemma1(limit: int, engine: str | None = None) -> SuiteResult:
+def suite_lemma1(limit: int) -> SuiteResult:
     """Divisor classes: sieve factors all lie in 1 mod 4 and multiply back;
     moduli with a factor in 3 mod 4 have no roots at all (exhaustive scan)."""
     res = SuiteResult("lemma1", limit)
-    for term in sieve_range(limit, engine=engine):
+    for term in sieve_range(limit):
         res.cases += 1
         bad = [p for p, _ in term.factors if p % 4 != 1]
         if bad:
@@ -124,7 +124,7 @@ def suite_lemma1(limit: int, engine: str | None = None) -> SuiteResult:
     return res
 
 
-def suite_lemma2(limit: int, engine: str | None = None) -> SuiteResult:
+def suite_lemma2(limit: int) -> SuiteResult:
     """Coprimality with every earlier term implies the term is prime."""
     res = SuiteResult("lemma2", limit)
     for n in range(2, limit + 1):
@@ -134,7 +134,7 @@ def suite_lemma2(limit: int, engine: str | None = None) -> SuiteResult:
     return res
 
 
-def suite_lemma3(limit: int, engine: str | None = None) -> SuiteResult:
+def suite_lemma3(limit: int) -> SuiteResult:
     """Strike progressions are complete: divisor positions match a direct scan."""
     res = SuiteResult("lemma3", limit)
     idx = np.arange(1, limit + 1, dtype=np.int64)
@@ -149,7 +149,7 @@ def suite_lemma3(limit: int, engine: str | None = None) -> SuiteResult:
     return res
 
 
-def suite_lemma4(limit: int, engine: str | None = None) -> SuiteResult:
+def suite_lemma4(limit: int) -> SuiteResult:
     """Least-root bounds: sqrt(m-1)/2 <= r <= (m-1)/2 and cofactor <= m-2."""
     res = SuiteResult("lemma4", limit)
     for m, factors in iter_pp(limit):
@@ -165,7 +165,7 @@ def suite_lemma4(limit: int, engine: str | None = None) -> SuiteResult:
     return res
 
 
-def suite_lemma5(limit: int, engine: str | None = None) -> SuiteResult:
+def suite_lemma5(limit: int) -> SuiteResult:
     """First appearance in first power: least root of p beats least root of p**2."""
     res = SuiteResult("lemma5", limit)
     for p in primes_1mod4(limit).tolist():
@@ -177,7 +177,7 @@ def suite_lemma5(limit: int, engine: str | None = None) -> SuiteResult:
     return res
 
 
-def suite_eq1(limit: int, engine: str | None = None) -> SuiteResult:
+def suite_eq1(limit: int) -> SuiteResult:
     """Counting identity: alternating divisor sum equals both direct counts."""
     res = SuiteResult("eq1", limit)
     rng = random.Random(_EQ1_SEED)
@@ -197,7 +197,7 @@ def suite_eq1(limit: int, engine: str | None = None) -> SuiteResult:
     return res
 
 
-def suite_main_identity(limit: int, engine: str | None = None) -> SuiteResult:
+def suite_main_identity(limit: int) -> SuiteResult:
     """At horizon N both counts collapse to the product of (p - 2)."""
     res = SuiteResult("main-identity", limit)
     for k in range(1, limit + 1):
@@ -211,7 +211,7 @@ def suite_main_identity(limit: int, engine: str | None = None) -> SuiteResult:
     return res
 
 
-def suite_second_proof(limit: int, engine: str | None = None) -> SuiteResult:
+def suite_second_proof(limit: int) -> SuiteResult:
     """The value at index N is coprime to every basis prime and factors cleanly."""
     res = SuiteResult("second-proof", limit)
     for k in range(1, limit + 1):
@@ -246,9 +246,9 @@ SUITES = {
 }
 
 
-def run_suite(name: str, limit: int | None = None, engine: str | None = None) -> SuiteResult:
+def run_suite(name: str, limit: int | None = None) -> SuiteResult:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if limit is None:
         limit = DEFAULT_LIMITS[name]
-    return SUITES[name](limit, engine)
+    return SUITES[name](limit)

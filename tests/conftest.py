@@ -1,14 +1,4 @@
 import sys
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).parent))
-
-from quadsieve import warmup
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_engines():
-    # compile the jitted kernels once so timed tests measure work, not JIT
-    warmup()

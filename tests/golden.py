@@ -51,3 +51,6 @@ FIRST_BASIS_25_PRIMES = [
 
 # brute-force gcd scans, computed before the census was written
 MAIN_IDENTITY_VALUES = {1: 3, 2: 45, 3: 1575, 4: 17325}
+
+# blake2b-128 of the (n, prime, exponent) int64 stream for n = 1 .. 10**6
+DIGEST_1E6 = "6b595a0b573e08dc6e5ad615aaaf5e6f"

@@ -161,12 +161,24 @@ class TestBench:
         assert len(digests) == 1
 
     def test_both_engines_agree(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "bench", "--limit", "5000", "--engine", "both", "--format", "json-lines"
-        )
-        assert code == 0
-        records = [json.loads(line) for line in out.splitlines()]
+        # --engine stays for compatibility: numpy and auto run the same kernels
+        records = []
+        for engine in ("numpy", "auto"):
+            code, out, _ = run_cli(
+                capsys, "bench", "--limit", "5000", "--engine", engine, "--format", "json-lines"
+            )
+            assert code == 0
+            records.append(json.loads(out))
         assert len({r["digest"] for r in records}) == 1
+        assert {r["engine"] for r in records} == {"numpy"}
+        for argv in (
+            ["terms", "1..3", "--engine", "numba"],
+            ["verify", "--suite", "lemma5", "--engine", "numba"],
+            ["bench", "--limit", "100", "--engine", "both"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
 
 
 class TestEntryPoint:

@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 
@@ -6,38 +5,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadsieve import is_prime, naive_factor, sqrt_minus_one, term_value, terms_digest
-from quadsieve._kernels import (
-    HAVE_NUMBA,
-    MAX_INDEX,
-    check_index_range,
-    least_roots_bulk,
-    resolve_engine,
-    strike_segment,
+from quadsieve import (
+    generator_root,
+    is_prime,
+    naive_factor,
+    sqrt_minus_one,
+    term_value,
+    terms_digest,
+    warmup,
 )
+from quadsieve._kernels import MAX_INDEX, check_index_range, least_roots_bulk, strike_segment
 from quadsieve.errors import BadFactorizationError, RangeError
 from quadsieve.sieve import primes_1mod4
 
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-
 
 class TestEngineSelection:
-    def test_resolve_known(self):
-        assert resolve_engine("numpy") == "numpy"
-
-    def test_resolve_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            resolve_engine("fortran")
-
-    def test_env_flag_forces_numpy(self):
-        code = "from quadsieve import default_engine; print(default_engine())"
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "QUADSIEVE_ENGINE": "numpy"},
-            capture_output=True,
-            text=True,
-        )
-        assert out.stdout.strip() == "numpy"
+    def test_warmup_names_the_only_engine(self):
+        assert warmup() == "numpy"
 
     def test_index_ceiling(self):
         check_index_range(MAX_INDEX)
@@ -49,11 +33,9 @@ class TestEngineSelection:
 
 class TestLeastRootsBulk:
     def test_matches_scalar_construction(self):
-        primes = primes_1mod4(10_000)
-        for engine in ("numpy",) + (("numba",) if HAVE_NUMBA else ()):
-            bulk = least_roots_bulk(primes, engine)
-            for p, r in zip(primes.tolist(), bulk.tolist()):
-                assert r == sqrt_minus_one(p), (engine, p)
+        primes = primes_1mod4(20_000)
+        for p, r in zip(primes.tolist(), least_roots_bulk(primes).tolist()):
+            assert r == sqrt_minus_one(p) == generator_root(p), p
 
     def test_top_of_index_range(self):
         # p*p comes within 2**35 of 2**63 here, where an int64 overflow in
@@ -64,40 +46,22 @@ class TestLeastRootsBulk:
                 primes.append(p)
             p -= 4
         primes = np.array(primes[::-1], dtype=np.int64)
-        for p, r in zip(primes.tolist(), least_roots_bulk(primes, "numpy").tolist()):
+        for p, r in zip(primes.tolist(), least_roots_bulk(primes).tolist()):
             assert (4 * r * r + 1) % p == 0 and 1 <= r <= (p - 1) // 2, p
-            assert r == sqrt_minus_one(p), p
+            assert r == sqrt_minus_one(p) == generator_root(p), p
 
     def test_refuses_primes_it_cannot_root(self):
         with pytest.raises(RangeError):  # p*p would wrap in int64
-            least_roots_bulk(np.array([2 * MAX_INDEX + 3]), "numpy")
+            least_roots_bulk(np.array([2 * MAX_INDEX + 3]))
         with pytest.raises(BadFactorizationError):  # 25 is not prime
-            least_roots_bulk(np.array([5, 25]), "numpy")
-
-    @needs_numba
-    def test_engines_agree(self):
-        primes = primes_1mod4(200_000)
-        assert np.array_equal(
-            least_roots_bulk(primes, "numba"), least_roots_bulk(primes, "numpy")
-        )
+            least_roots_bulk(np.array([5, 25]))
 
 
 class TestStrikeSegment:
-    @needs_numba
-    def test_engines_emit_identical_streams(self):
-        primes = primes_1mod4(4000)
-        roots = least_roots_bulk(primes, "numpy")
-        for lo, hi in [(1, 2), (1, 100), (57, 58), (901, 1301), (1999, 2000)]:
-            a = strike_segment(lo, hi, primes, roots, "numba")
-            b = strike_segment(lo, hi, primes, roots, "numpy")
-            for x, y in zip(a[:3], b[:3]):
-                assert np.array_equal(x, y), (lo, hi)
-            assert np.array_equal(a[3], b[3])
-
     def test_cofactor_all_ones_after_completion(self):
         primes = primes_1mod4(600)
-        roots = least_roots_bulk(primes, "numpy")
-        _, _, _, cof = strike_segment(100, 300, primes, roots, "numpy")
+        roots = least_roots_bulk(primes)
+        _, _, _, cof = strike_segment(100, 300, primes, roots)
         assert bool((cof == 1).all())
 
     @given(lo=st.integers(1, 200_000), width=st.integers(1, 3000))
@@ -105,8 +69,8 @@ class TestStrikeSegment:
     def test_matches_trial_division(self, lo, width):
         hi = lo + width
         primes = primes_1mod4(2 * hi)
-        roots = least_roots_bulk(primes, "numpy")
-        pos, ps, es, cof = strike_segment(lo, hi, primes, roots, "numpy")
+        roots = least_roots_bulk(primes)
+        pos, ps, es, cof = strike_segment(lo, hi, primes, roots)
         assert bool((cof == 1).all())
         got: dict[int, list] = {}
         for n, p, e in zip(pos.tolist(), ps.tolist(), es.tolist()):
@@ -122,10 +86,10 @@ class TestStrikeSegment:
             "from quadsieve._kernels import least_roots_bulk, strike_segment\n"
             "from quadsieve.sieve import primes_1mod4\n"
             "primes = primes_1mod4(200)\n"
-            "roots = least_roots_bulk(primes, 'numpy')\n"
+            "roots = least_roots_bulk(primes)\n"
             "roots[primes == 13] = 1\n"
             "try:\n"
-            "    strike_segment(1, 100, primes, roots, 'numpy')\n"
+            "    strike_segment(1, 100, primes, roots)\n"
             "except AssertionError:\n"
             "    print('raised')\n"
         )
@@ -137,11 +101,8 @@ class TestStrikeSegment:
 
 class TestDigest:
     def test_digest_independent_of_everything(self):
-        reference = terms_digest(800, 65536, engine="numpy")
-        for engine in ("numpy",) + (("numba",) if HAVE_NUMBA else ()):
-            for seg in (1, 3, 64, 511):
-                for workers in (1, 3):
-                    got = terms_digest(
-                        800, seg, workers=workers, engine=engine, chunk_floor=1
-                    )
-                    assert got == reference, (engine, seg, workers)
+        reference = terms_digest(800, 65536)
+        for seg in (1, 3, 64, 511):
+            for workers in (1, 3):
+                got = terms_digest(800, seg, workers=workers, chunk_floor=1)
+                assert got == reference, (seg, workers)

@@ -1,71 +1,20 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from quadsieve import (
     BadFactorizationError,
     NoRootsError,
     PrimePower,
     RangeError,
-    U64_MAX,
     crt_combine,
+    generator_root,
     hensel_lift,
     is_prime,
-    mul_mod,
     naive_root_scan,
-    pow_mod,
     primitive_root,
     sqrt_minus_one,
-    sqrt_minus_one_fast,
 )
 from quadsieve.sieve import primes_1mod4
-
-
-class TestMulMod:
-    def test_zero_annihilates(self):
-        assert mul_mod(0, 12345, 97) == 0
-
-    def test_identity(self):
-        assert mul_mod(1, 42, 97) == 42
-
-    def test_wide_product_near_u64(self):
-        # frozen from a big-integer reference computation
-        assert mul_mod(2**32 - 1, 2**32 - 1, 2**64 - 59) == 18446744065119617025
-
-    @given(
-        a=st.integers(min_value=0, max_value=U64_MAX),
-        b=st.integers(min_value=0, max_value=U64_MAX),
-        m=st.integers(min_value=1, max_value=U64_MAX // 2).map(lambda v: 2 * v + 1),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_matches_bigint_reference(self, a, b, m):
-        assert mul_mod(a % m, b % m, m) == (a % m) * (b % m) % m
-
-    def test_rejects_even_or_oversize_modulus(self):
-        with pytest.raises(NoRootsError):
-            mul_mod(1, 1, 10)
-        with pytest.raises(RangeError):
-            mul_mod(1, 1, 2**64 + 1)
-
-
-class TestPowMod:
-    def test_empty_product(self):
-        assert pow_mod(7, 0, 13) == 1
-
-    def test_small_power(self):
-        assert pow_mod(2, 3, 13) == 8
-
-    def test_generator_power(self):
-        assert pow_mod(2, 1, 5) == 2
-
-    @given(
-        b=st.integers(min_value=0, max_value=10**9),
-        e=st.integers(min_value=0, max_value=10**6),
-        m=st.integers(min_value=1, max_value=10**9).map(lambda v: 2 * v + 1),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_matches_builtin(self, b, e, m):
-        assert pow_mod(b % m, e, m) == pow(b, e, m)
 
 
 class TestIsPrime:
@@ -152,7 +101,14 @@ class TestSqrtMinusOne:
 
     def test_fast_path_agrees_with_recipe(self):
         for p in primes_1mod4(20_000).tolist():
-            assert sqrt_minus_one_fast(p) == sqrt_minus_one(p)
+            assert sqrt_minus_one(p) == generator_root(p), p
+        # above the oracle's reach the non-residue route still answers
+        p = 10**12 + 61
+        assert is_prime(p) and p % 4 == 1
+        with pytest.raises(RangeError):
+            primitive_root(p)
+        r = sqrt_minus_one(p)
+        assert (4 * r * r + 1) % p == 0 and 1 <= r <= (p - 1) // 2
 
     def test_no_root_for_class_3_primes(self):
         with pytest.raises(NoRootsError):
@@ -231,6 +187,12 @@ class TestCrtCombine:
     def test_rejects_empty_root_set(self):
         with pytest.raises(NoRootsError):
             crt_combine(5, [1, 4], 21, [])
+
+    def test_rejects_even_or_oversize_modulus(self):
+        with pytest.raises(NoRootsError):
+            crt_combine(10, [1], 13, [4, 9])
+        with pytest.raises(RangeError):
+            crt_combine(2**64 + 1, [1], 13, [4, 9])
 
 
 class TestPrimePower:

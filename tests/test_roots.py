@@ -8,11 +8,9 @@ from quadsieve import (
     naive_root_scan,
     root_summary,
     term_value,
-    verify_first_degree,
 )
 from quadsieve.roots import least_root_lower_bound
-from quadsieve.sieve import primes_1mod4
-from quadsieve.suites import iter_pp
+from quadsieve.suites import iter_pp, run_suite
 
 
 class TestAllRoots:
@@ -94,10 +92,10 @@ class TestLowerBoundHelper:
 
 class TestFirstDegree:
     def test_examples(self):
-        assert verify_first_degree(5)  # 1 < 9
-        assert verify_first_degree(17)  # 2 < 19
-        assert verify_first_degree(13)  # 4 < 35
+        # least root of p, then of p**2: the first power appears first
+        for p, r1, r2 in ((5, 1, 9), (17, 2, 19), (13, 4, 35)):
+            assert root_summary(p, [(p, 1)]).least_root == r1
+            assert root_summary(p * p, [(p, 2)]).least_root == r2
 
     def test_all_primes_to_1000(self):
-        for p in primes_1mod4(1000).tolist():
-            assert verify_first_degree(p), p
+        assert run_suite("lemma5", 1000).ok

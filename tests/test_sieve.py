@@ -72,7 +72,7 @@ class TestSieveRange:
         assert by_n[9].factors == ((5, 2), (13, 1))
 
     def test_factor_classes_and_products_to_1e5(self):
-        for seg in _segments(100_000, 65536, 1, None):
+        for seg in _segments(100_000, 65536, 1):
             seg.check()  # cofactors exhausted, products multiply back
             assert bool((seg.primes % 4 == 1).all())
 
