@@ -5,7 +5,9 @@ progressions n = +-root (mod p), so factoring a whole index range means
 striking those progressions for every prime p < 2*hi and dividing out
 repeated powers; any cofactor left at the end is itself prime.  Striking
 goes segment by segment through the numpy kernels, but the plan holds
-every prime p <= 2*n_max and its root, so memory is O(n_max).  Worker
+every prime p <= 2*n_max and its root, so memory is O(n_max).  A window
+[start, n_max] still needs that whole plan, but it strikes only its own
+indices: the plan costs O(n_max), the strike O(n_max - start).  Worker
 threads overlap inside the kernels' array operations, which release the
 GIL.
 """
@@ -169,6 +171,7 @@ def smallest_factor_table(limit: int) -> np.ndarray:
 
 
 def _plan(n_max: int):
+    check_index_range(n_max)
     primes = primes_1mod4(2 * n_max)
     return primes, least_roots_bulk(primes)
 
@@ -193,15 +196,24 @@ def _segments(
     segment_size: int,
     workers: int,
     chunk_floor: int = CHUNK_FLOOR,
+    *,
+    start: int = 1,
+    plan: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Iterator[SieveSegment]:
+    """Struck segments covering indices start .. n_max, in ascending order.
+
+    plan, if given, must be _plan(n_max); the caller then already holds it.
+    """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if not (1 <= start <= n_max):
+        raise ValueError(f"need 1 <= start <= n_max, got start={start}, n_max={n_max}")
     check_index_range(n_max)
     if segment_size < 1:
         raise ValueError(f"segment_size must be >= 1, got {segment_size}")
     chunk = max(segment_size, chunk_floor)
-    primes, roots = _plan(n_max)
-    bounds = [(lo, min(lo + chunk, n_max + 1)) for lo in range(1, n_max + 1, chunk)]
+    primes, roots = plan if plan is not None else _plan(n_max)
+    bounds = [(lo, min(lo + chunk, n_max + 1)) for lo in range(start, n_max + 1, chunk)]
     if workers <= 1:
         for lo, hi in bounds:
             yield sieve_segment(lo, hi, primes, roots)
@@ -226,15 +238,18 @@ def sieve_range(
     n_max: int,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     *,
+    start: int = 1,
     workers: int = 1,
     chunk_floor: int = CHUNK_FLOOR,
 ) -> Iterator[Term]:
-    """Stream fully factored terms for n = 1 .. n_max in ascending order.
+    """Stream fully factored terms for n = start .. n_max in ascending order.
 
+    Only the window [start, n_max] is struck, though the plan still holds
+    every prime p <= 2*n_max; start < 1 or start > n_max raises ValueError.
     Output is identical for every segment_size and worker count; those
     knobs trade memory against speed only.
     """
-    for seg in _segments(n_max, segment_size, workers, chunk_floor):
+    for seg in _segments(n_max, segment_size, workers, chunk_floor, start=start):
         yield from seg.terms()
 
 
@@ -244,14 +259,16 @@ def terms_digest(
     *,
     workers: int = 1,
     chunk_floor: int = CHUNK_FLOOR,
+    plan: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> str:
     """Digest of the canonical factorization stream for n = 1 .. n_max.
 
     Hashes the (n, prime, exponent) int64 triples in ascending order, so
-    equal digests mean identical factorizations term for term.
+    equal digests mean identical factorizations term for term.  plan, if
+    given, is the caller's _plan(n_max), which the sieve then reuses.
     """
     h = hashlib.blake2b(digest_size=16)
-    for seg in _segments(n_max, segment_size, workers, chunk_floor):
+    for seg in _segments(n_max, segment_size, workers, chunk_floor, plan=plan):
         h.update(seg.packed())
     return h.hexdigest()
 
@@ -293,31 +310,29 @@ def enumerate_primes(
 def first_k_basis(k: int) -> PrimeBasis:
     """The first k primes ordered by first appearance as a factor.
 
-    A prime first divides the value at its least root, so this is also the
-    k primes with the smallest least roots.  Two primes cannot debut at the
-    same index: that would need p*q <= 4*n*n + 1 with both p, q >= 2*n + 1.
+    A prime first divides the value at its least root r <= (p - 1)/2, and
+    every later index it divides is n >= p - r > p/2, so an entry (n, p)
+    of the sieve is p's debut exactly when p > 2*n; this holds for
+    leftover cofactor primes too.  Two primes cannot debut at the same
+    index: that would need p*q <= 4*n*n + 1 with both p, q >= 2*n + 1.
+    So the debuts, read in index order, are the basis; when a window
+    holds fewer than k of them, the next window [hi + 1, 2*hi] is sieved.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     found: list[BasisPrime] = []
-    seen: set[int] = set()
-    n_guess = 4 * k + 16
+    lo, hi = 1, min(k, MAX_INDEX)  # one debut per index at most: k need k indices
     while True:
-        for term in sieve_range(min(n_guess, MAX_INDEX)):
-            for p, _ in term.factors:
-                if p not in seen:
-                    seen.add(p)
-                    # observed first index must equal the independently built root
-                    found.append(
-                        BasisPrime(p, least_root=modarith.sqrt_minus_one(p), first_index=term.n)
-                    )
-                    if len(found) == k:
-                        return tuple(found)
-        if n_guess >= MAX_INDEX:
+        for seg in _segments(hi, DEFAULT_SEGMENT_SIZE, 1, start=lo):
+            debut = seg.primes > 2 * seg.positions
+            for p, n in zip(seg.primes[debut].tolist(), seg.positions[debut].tolist()):
+                # observed first index must equal the independently built root
+                found.append(BasisPrime(p, least_root=modarith.sqrt_minus_one(p), first_index=n))
+                if len(found) == k:
+                    return tuple(found)
+        if hi >= MAX_INDEX:
             raise RangeError(f"basis of {k} primes not found within index range")
-        n_guess *= 2
-        found.clear()
-        seen.clear()
+        lo, hi = hi + 1, min(2 * hi, MAX_INDEX)
 
 
 def basis_from_primes(primes: Iterable[int]) -> PrimeBasis:

@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
-from quadsieve.cli import main
+import quadsieve._kernels as kernels
+import quadsieve.sieve as sieve
+from quadsieve import is_prime, primes_1mod4, sieve_range
+from quadsieve.cli import Emitter, main
 
 from golden import GOLDEN_30
 
@@ -66,6 +69,85 @@ class TestTerms:
             )
             outs.add(out)
         assert len(outs) == 1
+
+
+class TestTermsWindow:
+    @pytest.mark.parametrize(
+        "lo, hi, extra",
+        [(1, 3000, ()), (99_001, 100_000, ()), (99_001, 100_000, ("--workers", "2", "--segment-size", "128"))],
+    )
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json-lines"])
+    def test_renderer_matches_emitter(self, capsys, lo, hi, extra, fmt):
+        code, out, _ = run_cli(capsys, "terms", f"{lo}..{hi}", "--format", fmt, *extra)
+        assert code == 0
+        expected = io.StringIO()
+        emit = Emitter(fmt, out=expected)
+        for t in sieve_range(hi):
+            if t.n >= lo:
+                emit.write("term", {"n": t.n, "value": t.value, "factors": [list(f) for f in t.factors]})
+        assert out == expected.getvalue()
+
+    @pytest.mark.parametrize("extra", [(), ("--workers", "2", "--segment-size", "100")])
+    def test_never_strikes_below_window(self, capsys, monkeypatch, extra):
+        struck = []
+        original = sieve.sieve_segment
+
+        def spy(lo, hi, *args):
+            struck.append((lo, hi))
+            return original(lo, hi, *args)
+
+        monkeypatch.setattr(sieve, "sieve_segment", spy)
+        code, out, _ = run_cli(capsys, "terms", "50001..51000", *extra)
+        assert code == 0 and len(out.splitlines()) == 1000
+        assert min(lo for lo, _ in struck) == 50_001
+        assert max(hi for _, hi in struck) == 51_001
+
+    def test_window_near_1e7_factors_are_primes_multiplying_back(self, capsys):
+        lo, hi = 9_999_001, 10_000_000
+        code, out, _ = run_cli(capsys, "terms", f"{lo}..{hi}", "--format", "json-lines")
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r["n"] for r in records] == list(range(lo, hi + 1))
+        for r in records:
+            assert r["value"] == 4 * r["n"] ** 2 + 1
+            product = 1
+            for p, e in r["factors"]:
+                assert p % 4 == 1 and is_prime(p), (r["n"], p)
+                product *= p**e
+            assert product == r["value"], r["n"]
+
+    def test_refused_range_writes_no_csv_header(self, capsys):
+        for argv in (["1..3", "--segment-size", "0"], ["1..1518500250"]):
+            code, out, _ = run_cli(capsys, "terms", *argv, "--format", "csv")
+            assert code == 2 and out == "", argv
+
+    def test_invariant_failure_exits_1_without_traceback(self, capsys, monkeypatch):
+        original = kernels._strike_np
+
+        def corrupt(*args):
+            pos, ps, es, cof = original(*args)
+            es[0] = 0
+            return pos, ps, es, cof
+
+        monkeypatch.setattr(kernels, "_strike_np", corrupt)
+        for argv in (["terms", "1..100"], ["bench", "--limit", "100"]):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 1, argv
+            assert err.startswith("error: internal invariant failed: ")
+            assert "Traceback" not in err
+
+    def test_missing_index_exits_1(self, capsys, monkeypatch):
+        original = kernels._strike_np
+
+        def drop_first_index(*args):
+            pos, ps, es, cof = original(*args)
+            keep = pos != pos[0]
+            return pos[keep], ps[keep], es[keep], cof
+
+        monkeypatch.setattr(kernels, "_strike_np", drop_first_index)
+        code, _, err = run_cli(capsys, "terms", "1..100", "--format", "json-lines")
+        assert code == 1
+        assert err.startswith("error: internal invariant failed: segment [1,101) is missing indices")
 
 
 class TestPrimes:
@@ -159,6 +241,16 @@ class TestBench:
             assert code == 0
             digests.add(json.loads(out)["digest"])
         assert len(digests) == 1
+
+    def test_peak_segment_bytes_counts_the_plan(self, capsys):
+        code, out, _ = run_cli(capsys, "bench", "--limit", "20000", "--format", "json-lines")
+        assert code == 0
+        rec = json.loads(out)
+        chunk = 65536
+        n_primes = primes_1mod4(2 * 20000).size
+        assert rec["chunk"] == chunk
+        assert rec["peak_segment_bytes"] == chunk * 8 + chunk * 12 * 24 + n_primes * 16
+        assert rec["digest"] == "712740d2afcd3a5660eedc8e36fc92a1"
 
     def test_both_engines_agree(self, capsys):
         # --engine stays for compatibility: numpy and auto run the same kernels

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quadsieve.sieve as sieve
 from quadsieve import (
     RangeError,
     Term,
     divisor_positions,
     enumerate_primes,
     first_k_basis,
+    generator_root,
     is_prime,
     lemma2_witness,
     naive_factor,
@@ -15,7 +17,7 @@ from quadsieve import (
     term_value,
 )
 from quadsieve._kernels import MAX_INDEX
-from quadsieve.sieve import _segments, primes_1mod4, smallest_factor_table
+from quadsieve.sieve import CHUNK_FLOOR, _segments, primes_1mod4, smallest_factor_table
 
 from golden import FIRST_BASIS_8, GOLDEN_30, PRIME_INDICES_30
 
@@ -90,6 +92,23 @@ class TestSieveRange:
         with pytest.raises(RangeError):
             next(iter(sieve_range(MAX_INDEX + 1)))
 
+    @given(
+        hi=st.integers(min_value=1, max_value=200_000),
+        width=st.integers(min_value=1, max_value=2000),
+        size=st.sampled_from([1, 7, 64, 4096, 65536]),
+        chunk_floor=st.sampled_from([1, CHUNK_FLOOR]),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_window_is_slice_of_full_range(self, hi, width, size, chunk_floor):
+        lo = max(1, hi - width + 1)
+        window = list(sieve_range(hi, size, start=lo, chunk_floor=chunk_floor))
+        assert window == [t for t in sieve_range(hi) if t.n >= lo]
+
+    def test_window_bounds_refused(self):
+        for start, n_max in ((0, 10), (-3, 10), (11, 10)):
+            with pytest.raises(ValueError):
+                next(iter(sieve_range(n_max, start=start)))
+
     def test_term_verify_catches_corruption(self):
         t = Term(4, 65, ((5, 1), (13, 1)))
         t.verify()
@@ -144,6 +163,28 @@ class TestFirstKBasis:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             first_k_basis(0)
+
+    def test_matches_primes_ordered_by_least_root(self):
+        # independent construction: every prime whose least root is at most
+        # R = the last first index lies below 4*R*R + 1; sort them by root
+        basis = first_k_basis(60)
+        bound = basis[-1].first_index
+        by_root = sorted((generator_root(p), p) for p in primes_1mod4(4 * bound * bound + 1).tolist())
+        assert [(b.first_index, b.prime) for b in basis] == by_root[:60]
+
+    def test_missing_debuts_sieve_the_next_window(self, monkeypatch):
+        windows = []
+
+        def spy(n_max, *args, start=1, **kwargs):
+            windows.append((start, n_max))
+            return _segments(n_max, *args, start=start, **kwargs)
+
+        monkeypatch.setattr(sieve, "_segments", spy)
+        first_k_basis(200)
+        assert len(windows) > 1
+        # consecutive windows, never a restart from n = 1
+        for (_, prev_hi), (lo, _) in zip(windows, windows[1:]):
+            assert lo == prev_hi + 1
 
 
 class TestLemma2Witness:
