@@ -6,9 +6,9 @@ fixed, documented column order (--format csv); the default is a plain
 table for reading.  Exit codes: 0 success, 1 verification failure, oracle
 mismatch or internal invariant failure, 2 bad input or range error.
 
-`terms a..b` strikes only the window [a, b] and renders each segment's
-lines straight from its parallel arrays, one segment at a time; the lines
-are byte-identical to what Emitter.write gives for the same Term records.
+`terms a..b` strikes only the window [a, b] and writes each term's line
+as its Term comes off the sieve, one segment at a time; the lines are
+byte-identical to what Emitter.write gives for the same records.
 
 All limits are term indices n, never term values: `--limit 30` means the
 30 terms up to 4*30*30 + 1 = 3601.
@@ -21,10 +21,6 @@ import csv
 import json
 import sys
 import time
-from itertools import islice
-from typing import Iterator
-
-import numpy as np
 
 from . import oracle
 from .census import census
@@ -33,14 +29,14 @@ from .roots import all_roots, root_summary
 from .sieve import (
     CHUNK_FLOOR,
     DEFAULT_SEGMENT_SIZE,
-    SieveSegment,
+    Term,
+    _digest,
     _plan,
     _segments,
     enumerate_primes,
     primes_1mod4,  # noqa: F401  looked up here by perfbench's tracer and its tests
     sieve_range,
     term_value,
-    terms_digest,
 )
 from .suites import DEFAULT_LIMITS, SUITES, run_suite
 
@@ -146,51 +142,35 @@ def _parse_range(args) -> tuple[int, int]:
     return lo, hi
 
 
-def _term_lines(seg: SieveSegment, fmt: str) -> Iterator[str]:
-    """The term records of one segment, rendered line by line as Emitter.write would."""
-    counts = np.bincount(seg.positions - seg.lo, minlength=seg.hi - seg.lo)
-    if not counts.all():  # every value 4*n*n + 1 > 1 has a prime factor
-        raise AssertionError(f"segment [{seg.lo},{seg.hi}) is missing indices")
-    counts = counts.tolist()
-    factors = zip(seg.primes.tolist(), seg.exponents.tolist())  # sorted by position
+def _term_line(term: Term, fmt: str) -> str:
+    """One term record with the bytes Emitter.write gives it, but no dict or json.dumps."""
     if fmt == "json-lines":
-        for n, k in enumerate(counts, seg.lo):
-            pairs = ", ".join([f"[{p}, {e}]" for p, e in islice(factors, k)])
-            yield f'{{"type": "term", "n": {n}, "value": {4 * n * n + 1}, "factors": [{pairs}]}}\n'
-        return
-    for n, k in enumerate(counts, seg.lo):
-        value = 4 * n * n + 1
-        powers = "*".join([f"{p}^{e}" if e > 1 else str(p) for p, e in islice(factors, k)])
-        if fmt == "csv":
-            yield f"{n},{value},{powers}\n"
-        else:  # the table marks a prime value, the only factor string equal to it
-            yield f"{n:>10}  {value:>14}  {'prime' if k == 1 and powers == str(value) else powers}\n"
+        pairs = ", ".join([f"[{p}, {e}]" for p, e in term.factors])
+        return f'{{"type": "term", "n": {term.n}, "value": {term.value}, "factors": [{pairs}]}}\n'
+    if fmt == "csv":
+        return f"{term.n},{term.value},{_factors_str(term.factors)}\n"
+    tail = "prime" if term.is_prime_term else _factors_str(term.factors)
+    return f"{term.n:>10}  {term.value:>14}  {tail}\n"
 
 
 def cmd_terms(args) -> int:
     lo, hi = _parse_range(args)
     if not (1 <= lo <= hi):
         raise ValueError(f"need 1 <= from <= to, got {lo}..{hi}")
-    if args.oracle:
-        emit = Emitter(args.format)
-        for term in sieve_range(hi, args.segment_size, start=lo, workers=args.workers):
-            if list(term.factors) != oracle.naive_factor(term.value):
-                print(
-                    f"oracle mismatch at n={term.n}: sieve said {term.factors}, "
-                    f"trial division said {oracle.naive_factor(term.value)}",
-                    file=sys.stderr,
-                )
-                return 1
-            emit.write("term", {"n": term.n, "value": term.value, "factors": [list(f) for f in term.factors]})
-        return 0
     out = sys.stdout
     header = args.format == "csv"
-    for seg in _segments(hi, args.segment_size, args.workers, start=lo):
+    for term in sieve_range(hi, args.segment_size, start=lo, workers=args.workers):
+        if args.oracle and list(term.factors) != (want := oracle.naive_factor(term.value)):
+            print(
+                f"oracle mismatch at n={term.n}: sieve said {term.factors}, "
+                f"trial division said {want}",
+                file=sys.stderr,
+            )
+            return 1
         if header:  # only once the range has proved valid, as Emitter does
             out.write(",".join(CSV_COLUMNS["term"]) + "\n")
             header = False
-        # each segment's lists die with its generator, before the next strike
-        out.writelines(_term_lines(seg, args.format))
+        out.write(_term_line(term, args.format))
     return 0
 
 
@@ -287,8 +267,8 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     chunk = max(args.segment_size, CHUNK_FLOOR)
     start = time.perf_counter()
-    plan = _plan(args.limit)
-    digest = terms_digest(args.limit, args.segment_size, workers=args.workers, plan=plan)
+    plan = _plan(args.limit)  # the sieve's own plan; its size enters peak_segment_bytes
+    digest = _digest(_segments(args.limit, args.segment_size, args.workers, plan=plan))
     elapsed = time.perf_counter() - start
     n_primes = int(plan[0].size)
     record = {

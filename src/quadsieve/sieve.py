@@ -19,6 +19,7 @@ import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -108,14 +109,12 @@ class SieveSegment:
         return np.concatenate([np.zeros(1, dtype=np.int64), cuts])
 
     def terms(self) -> Iterator[Term]:
-        starts = self._starts().tolist()
-        ends = starts[1:] + [self.positions.size]
-        pos = self.positions.tolist()
-        ps = self.primes.tolist()
-        es = self.exponents.tolist()
-        for a, b in zip(starts, ends):
-            n = pos[a]
-            yield Term(n, term_value(n), tuple(zip(ps[a:b], es[a:b])))
+        counts = np.bincount(self.positions - self.lo, minlength=self.hi - self.lo)
+        if not counts.all():  # every value 4*n*n + 1 > 1 has a prime factor
+            raise AssertionError(f"segment [{self.lo},{self.hi}) is missing indices")
+        factors = zip(self.primes.tolist(), self.exponents.tolist())  # sorted by position
+        for n, k in enumerate(counts.tolist(), self.lo):
+            yield Term(n, term_value(n), tuple(islice(factors, k)))
 
     def packed(self) -> bytes:
         """Canonical (n, prime, exponent) triple stream as little-endian int64."""
@@ -253,24 +252,26 @@ def sieve_range(
         yield from seg.terms()
 
 
+def _digest(segments: Iterable[SieveSegment]) -> str:
+    h = hashlib.blake2b(digest_size=16)
+    for seg in segments:
+        h.update(seg.packed())
+    return h.hexdigest()
+
+
 def terms_digest(
     n_max: int,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     *,
     workers: int = 1,
     chunk_floor: int = CHUNK_FLOOR,
-    plan: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> str:
     """Digest of the canonical factorization stream for n = 1 .. n_max.
 
     Hashes the (n, prime, exponent) int64 triples in ascending order, so
-    equal digests mean identical factorizations term for term.  plan, if
-    given, is the caller's _plan(n_max), which the sieve then reuses.
+    equal digests mean identical factorizations term for term.
     """
-    h = hashlib.blake2b(digest_size=16)
-    for seg in _segments(n_max, segment_size, workers, chunk_floor, plan=plan):
-        h.update(seg.packed())
-    return h.hexdigest()
+    return _digest(_segments(n_max, segment_size, workers, chunk_floor))
 
 
 def divisor_positions(p: int, n_max: int) -> list[int]:

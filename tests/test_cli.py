@@ -8,7 +8,7 @@ import pytest
 
 import quadsieve._kernels as kernels
 import quadsieve.sieve as sieve
-from quadsieve import is_prime, primes_1mod4, sieve_range
+from quadsieve import is_prime, oracle, primes_1mod4, sieve_range
 from quadsieve.cli import Emitter, main
 
 from golden import GOLDEN_30
@@ -135,6 +135,24 @@ class TestTermsWindow:
             assert code == 1, argv
             assert err.startswith("error: internal invariant failed: ")
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json-lines"])
+    def test_oracle_writes_the_same_bytes(self, capsys, fmt):
+        _, plain, _ = run_cli(capsys, "terms", "4001..5000", "--format", fmt)
+        code, checked, _ = run_cli(capsys, "terms", "4001..5000", "--oracle", "--format", fmt)
+        assert code == 0 and checked == plain
+
+    def test_oracle_mismatch_exits_1_after_the_agreeing_lines(self, capsys, monkeypatch):
+        original = oracle.naive_factor
+
+        def wrong_at_65(value):
+            return [] if value == 65 else original(value)
+
+        monkeypatch.setattr(oracle, "naive_factor", wrong_at_65)
+        code, out, err = run_cli(capsys, "terms", "1..10", "--oracle", "--format", "csv")
+        assert code == 1
+        assert out.splitlines() == ["n,value,factors", "1,5,5", "2,17,17", "3,37,37"]
+        assert err.startswith("oracle mismatch at n=4: sieve said ((5, 1), (13, 1))")
 
     def test_missing_index_exits_1(self, capsys, monkeypatch):
         original = kernels._strike_np
