@@ -3,8 +3,11 @@
 The bulk least-root computation and the per-segment strike loop only
 over non-residue candidates, exponent bits and prime powers, each step
 one operation on every prime or hit at once, never a Python loop per
-prime.  numpy releases the GIL inside those operations, so segments
-striking on worker threads overlap.
+prime.  The strike's hits come out prime by prime and are put back in
+position order by a stable LSD radix order on the 16-bit digits of the
+offset within the segment, not by a comparison sort.  numpy releases the
+GIL inside those operations, so segments striking on worker threads
+overlap.
 
 Everything is int64 inside the kernels, hence the hard index ceiling:
 4*n*n + 1 and the squares of candidate primes p <= 2*n must stay below
@@ -54,6 +57,14 @@ def _least_roots_np(primes: np.ndarray) -> np.ndarray:
     return np.minimum(r, primes - r)
 
 
+def _hits(n: int, p: np.ndarray, off: np.ndarray):
+    # each (prime, offset) pair expands to off, off + p, ... below n
+    counts = (n - 1 - off) // p + 1
+    step = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    ps = np.repeat(p, counts)
+    return np.repeat(off, counts) + step * ps, ps
+
+
 def _strike_np(lo: int, hi: int, primes: np.ndarray, roots: np.ndarray):
     n = hi - lo
     idx = np.arange(lo, hi, dtype=np.int64)
@@ -64,29 +75,40 @@ def _strike_np(lo: int, hi: int, primes: np.ndarray, roots: np.ndarray):
     ja, jb = np.flatnonzero(off_a < n), np.flatnonzero(off_b < n)
     j, off = np.concatenate([ja, jb]), np.concatenate([off_a[ja], off_b[jb]])
     order = np.argsort(j, kind="stable")
-    p, off = primes[j[order]], off[order]
-    # each (prime, offset) pair expands to off, off + p, ... below n
-    counts = (n - 1 - off) // p + 1
-    step = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    ps = np.repeat(p, counts)
-    pos = np.repeat(off, counts) + step * ps
-    # exponents count from zero, so a pair that does not divide leaves a 0
-    es = np.zeros(pos.size, dtype=np.int64)
-    at, v, d = np.arange(pos.size), cof[pos], ps
+    pos, ps = _hits(n, primes[j[order]], off[order])
+    # every hit divides its value by construction; a remainder means a bad root
+    v, es = cof[pos], np.empty_like(pos)
+    np.divmod(v, ps, out=(v, es))  # es holds the remainders until reset
+    if es.any():
+        bad = int(pos[np.flatnonzero(es)[0]]) + lo
+        raise AssertionError(f"strike kernel marked index {bad}, which its prime does not divide")
+    # higher powers, followed only for the few hits whose prime divides again
+    es.fill(1)
+    at = np.flatnonzero(v % ps == 0)
+    v, d = v[at], ps[at]
     while at.size:
-        q, r = np.divmod(v, d)
-        hit = r == 0
-        at, v, d = at[hit], q[hit], d[hit]
         es[at] += 1
+        v //= d
+        hit = v % d == 0
+        at, v, d = at[hit], v[hit], d[hit]
     prod = np.ones(n, dtype=np.int64)
     np.multiply.at(prod, pos, ps**es)
-    cof //= prod
+    # multiply-back: each value is its struck product times a leftover
+    np.divmod(cof, prod, out=(cof, prod))  # prod now holds the remainders
+    if prod.any():
+        bad = int(np.flatnonzero(prod)[0]) + lo
+        raise AssertionError(f"struck factors of index {bad} do not divide its value")
     # a leftover above 1 is a prime beyond every struck one: appended, it sorts last
     left = np.flatnonzero(cof > 1)
     pos, ps = np.concatenate([pos, left]), np.concatenate([ps, cof[left]])
     es = np.concatenate([es, np.ones(left.size, dtype=np.int64)])
     cof[left] = 1
-    order = np.argsort(pos, kind="stable")  # ties keep ascending prime order
+    # LSD radix order on the offset: numpy radix-sorts 16-bit keys when asked
+    # for a stable sort, and each stable pass keeps ties in ascending prime
+    # order; n <= MAX_INDEX < 2**32, so two 16-bit digits cover any segment
+    order = np.argsort(pos.astype(np.uint16), kind="stable")
+    if n > 1 << 16:
+        order = order[np.argsort((pos[order] >> 16).astype(np.uint16), kind="stable")]
     return pos[order] + lo, ps[order], es[order], cof
 
 

@@ -31,6 +31,10 @@ from .sieve import BasisPrime, PrimeBasis, basis_from_primes, first_k_basis, ter
 
 _MARK_CHUNK = 1 << 20
 
+# the direct count marks every index up to the horizon, about 1.2e9 a
+# second; census --k 7 (2.4e10) fits, --k 8 (6.1e12) would run for hours
+EXACT_COUNT_CAP = 10**11
+
 
 @dataclass(frozen=True)
 class CensusReport:
@@ -138,11 +142,16 @@ def exact_coprime_count(basis, horizon: int) -> int:
     """Direct count of n <= horizon with value coprime to the basis product.
 
     Marks the struck progressions +-root (mod p) per basis prime in
-    bounded windows; no inclusion-exclusion involved.
+    bounded windows; no inclusion-exclusion involved.  Horizons above
+    EXACT_COUNT_CAP raise RangeError instead of running for hours.
     """
     entries = _as_basis(basis)
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
+    if horizon > EXACT_COUNT_CAP:
+        raise RangeError(
+            f"exact_coprime_count is capped at horizon {EXACT_COUNT_CAP}; got {horizon}"
+        )
     pairs = [(b.prime, b.least_root) for b in entries]
     count = 0
     for lo in range(1, horizon + 1, _MARK_CHUNK):

@@ -175,6 +175,14 @@ def _plan(n_max: int):
     return primes, least_roots_bulk(primes)
 
 
+def _top_prime_1mod4(limit: int) -> int | None:
+    """Largest prime p = 1 (mod 4) with p <= limit; None when there is none."""
+    p = limit - (limit - 1) % 4
+    while p >= 5 and not modarith.is_prime(p):
+        p -= 4
+    return p if p >= 5 else None
+
+
 def sieve_segment(
     lo: int,
     hi: int,
@@ -202,6 +210,9 @@ def _segments(
     """Struck segments covering indices start .. n_max, in ascending order.
 
     plan, if given, must be _plan(n_max); the caller then already holds it.
+    A plan whose last prime is not the largest prime = 1 (mod 4) up to
+    2*n_max is refused: a short one would pass composite leftovers off as
+    primes.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -211,7 +222,14 @@ def _segments(
     if segment_size < 1:
         raise ValueError(f"segment_size must be >= 1, got {segment_size}")
     chunk = max(segment_size, chunk_floor)
-    primes, roots = plan if plan is not None else _plan(n_max)
+    if plan is None:
+        plan = _plan(n_max)
+    else:
+        top = _top_prime_1mod4(2 * n_max)
+        last = int(plan[0][-1]) if plan[0].size else None
+        if last != top:
+            raise ValueError(f"plan ends at prime {last}, but n_max={n_max} needs {top}")
+    primes, roots = plan
     bounds = [(lo, min(lo + chunk, n_max + 1)) for lo in range(start, n_max + 1, chunk)]
     if workers <= 1:
         for lo, hi in bounds:

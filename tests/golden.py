@@ -54,3 +54,6 @@ MAIN_IDENTITY_VALUES = {1: 3, 2: 45, 3: 1575, 4: 17325}
 
 # blake2b-128 of the (n, prime, exponent) int64 stream for n = 1 .. 10**6
 DIGEST_1E6 = "6b595a0b573e08dc6e5ad615aaaf5e6f"
+
+# the same digest for n = 1 .. 10**7; a slow-marked test recomputes it
+DIGEST_1E7 = "02c426e7cac03d3a800d4c06636e48e1"

@@ -4,19 +4,27 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one line per
 criterion.  All checks are exact; the time limits are the stated ones.
 """
 
+import math
+import random
 import time
+
+import numpy as np
+import pytest
 
 from quadsieve import (
     first_k_basis,
+    is_prime,
     second_proof_witness,
     sieve_range,
     terms_digest,
     verify_main_identity,
 )
+from quadsieve.sieve import _digest, _segments
 from quadsieve.suites import run_suite
 
 from golden import (
     DIGEST_1E6,
+    DIGEST_1E7,
     EXPLICIT_FACTORIZATION_COUNT,
     FIRST_BASIS_25_PRIMES,
     GOLDEN_30,
@@ -156,3 +164,32 @@ def test_criterion_10_determinism_and_parallelism():
     elapsed = done()
     report(10, ok, "terms 1..10^6 digest fixed across segment sizes and workers", elapsed)
     assert ok, digests
+
+
+@pytest.mark.slow
+def test_digest_1e7_pinned_and_sampled():
+    done = timed(300.0)
+    n = 10**7
+    sample = sorted(random.Random(10**7).sample(range(1, n + 1), 1000))
+    checked = []
+
+    def with_sample_checked(segments):
+        # each sampled term on its own: prime factors, ascending, multiplying back
+        for seg in segments:
+            for m in sample[len(checked) :]:
+                if m >= seg.hi:
+                    break
+                a, b = np.searchsorted(seg.positions, [m, m + 1])
+                ps, es = seg.primes[a:b].tolist(), seg.exponents[a:b].tolist()
+                assert all(is_prime(p) and p % 4 == 1 for p in ps), m
+                assert ps == sorted(set(ps)), m
+                assert math.prod(p**e for p, e in zip(ps, es)) == 4 * m * m + 1, m
+                checked.append(m)
+            yield seg
+
+    ok = _digest(with_sample_checked(_segments(n, 65536, 1))) == DIGEST_1E7
+    ok = ok and checked == sample
+    ok = ok and terms_digest(n, 262144, workers=2) == DIGEST_1E7
+    elapsed = done()
+    report(11, ok, "terms 1..10^7 digest pinned; 1000 sampled terms checked by is_prime", elapsed)
+    assert ok

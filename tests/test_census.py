@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +8,7 @@ from quadsieve import (
     basis_from_primes,
     census,
     exact_coprime_count,
+    first_k_basis,
     inclusion_exclusion_count,
     naive_coprime_count,
     naive_factor,
@@ -13,6 +16,7 @@ from quadsieve import (
     second_proof_witness,
     verify_main_identity,
 )
+from quadsieve.census import EXACT_COUNT_CAP
 
 from golden import MAIN_IDENTITY_VALUES
 
@@ -54,6 +58,11 @@ class TestExactCount:
 
     def test_empty_basis(self):
         assert exact_coprime_count((), 17) == 17
+
+    def test_horizon_cap_admits_k7_only(self):
+        # census --k 7 still runs in full; --k 8 is the first basis refused
+        products = [math.prod(b.prime for b in first_k_basis(k)) for k in (7, 8)]
+        assert products[0] <= EXACT_COUNT_CAP < products[1]
 
     def test_monotonic_in_horizon(self):
         basis = basis_from_primes([5, 13])

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import quadsieve._kernels as kernels
@@ -167,6 +168,16 @@ class TestTermsWindow:
         assert code == 1
         assert err.startswith("error: internal invariant failed: segment [1,101) is missing indices")
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json-lines"])
+    def test_segment_wider_than_two_to_the_16_writes_the_same_bytes(self, capsys, fmt):
+        # one 70000-index segment takes the radix order's second digit pass
+        _, default, _ = run_cli(capsys, "terms", "1..70000", "--format", fmt)
+        code, wide, _ = run_cli(
+            capsys, "terms", "1..70000", "--segment-size", "70000", "--format", fmt
+        )
+        same = wide == default  # kept out of the assert: a 70000-line diff would crawl
+        assert code == 0 and same
+
 
 class TestPrimes:
     def test_limit_30(self, capsys):
@@ -227,6 +238,18 @@ class TestCensus:
     def test_requires_exactly_one_selector(self, capsys):
         code, _, err = run_cli(capsys, "census")
         assert code == 2
+
+    def test_k8_horizon_is_refused_at_once(self):
+        # a subprocess, so that a lost cap fails on the timeout instead of
+        # counting 6e12 indices
+        out = subprocess.run(
+            [sys.executable, "-m", "quadsieve.cli", "census", "--k", "8"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr.startswith("error: exact_coprime_count is capped at horizon")
 
 
 class TestVerify:
@@ -289,6 +312,18 @@ class TestBench:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2, argv
+
+    def test_multiply_back_failure_exits_1(self, capsys, monkeypatch):
+        original = kernels._hits
+
+        def duplicate_first(*args):
+            pos, ps = original(*args)
+            return np.append(pos, pos[:1]), np.append(ps, ps[:1])
+
+        monkeypatch.setattr(kernels, "_hits", duplicate_first)
+        code, out, err = run_cli(capsys, "bench", "--limit", "1000", "--format", "json-lines")
+        assert code == 1 and out == ""
+        assert err.startswith("error: internal invariant failed: struck factors of index")
 
 
 class TestEntryPoint:

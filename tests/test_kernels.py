@@ -3,7 +3,9 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+import quadsieve._kernels as kernels
 
 from quadsieve import (
     generator_root,
@@ -16,7 +18,9 @@ from quadsieve import (
 )
 from quadsieve._kernels import MAX_INDEX, check_index_range, least_roots_bulk, strike_segment
 from quadsieve.errors import BadFactorizationError, RangeError
-from quadsieve.sieve import primes_1mod4
+from quadsieve.sieve import SieveSegment, primes_1mod4
+
+from golden import DIGEST_1E6
 
 
 class TestEngineSelection:
@@ -79,6 +83,35 @@ class TestStrikeSegment:
         for n, factors in got.items():
             assert factors == naive_factor(term_value(n)), n
 
+    @given(
+        lo=st.integers(1, 1_000_000),
+        # both sides of 2**16, so the radix order's second digit pass runs
+        width=st.one_of(st.integers(1, 1 << 16), st.integers((1 << 16) + 1, 140_000)),
+    )
+    @example(lo=1, width=1 << 16)
+    @example(lo=1, width=(1 << 16) + 1)
+    @settings(max_examples=12, deadline=None)
+    def test_entries_come_in_position_then_prime_order(self, lo, width):
+        hi = lo + width
+        primes = primes_1mod4(2 * hi)
+        pos, ps, es, cof = strike_segment(lo, hi, primes, least_roots_bulk(primes))
+        order = np.lexsort((ps, pos))
+        for got in (pos, ps, es):
+            assert np.array_equal(got, got[order])
+        SieveSegment(lo, hi, pos, ps, es, cof).check()
+
+    def test_duplicated_hit_fails_multiply_back(self, monkeypatch):
+        original = kernels._hits
+
+        def duplicate_first(*args):
+            pos, ps = original(*args)
+            return np.append(pos, pos[:1]), np.append(ps, ps[:1])
+
+        monkeypatch.setattr(kernels, "_hits", duplicate_first)
+        primes = primes_1mod4(600)
+        with pytest.raises(AssertionError, match="do not divide"):
+            strike_segment(100, 300, primes, least_roots_bulk(primes))
+
     def test_corrupt_root_raises_instead_of_hanging(self):
         # a pair that does not divide must trip the zero-exponent guard; the
         # subprocess timeout turns a regression into a failure, not a hang
@@ -106,3 +139,8 @@ class TestDigest:
             for workers in (1, 3):
                 got = terms_digest(800, seg, workers=workers, chunk_floor=1)
                 assert got == reference, (seg, workers)
+
+    def test_digest_1e6_on_both_sides_of_the_second_radix_pass(self):
+        digests = {terms_digest(10**6, seg) for seg in (4096, 65536, 65537, 262144)}
+        digests.add(terms_digest(10**6, workers=2))
+        assert digests == {DIGEST_1E6}

@@ -116,6 +116,28 @@ class TestSieveRange:
             Term(4, 65, ((13, 1),)).verify()
 
 
+class TestPlanCoverage:
+    def test_plan_for_a_smaller_range_is_refused(self):
+        n = 100_000
+        with pytest.raises(ValueError, match="plan"):
+            next(_segments(n, 65536, 1, plan=sieve._plan(n // 2)))
+
+    def test_plan_for_a_larger_range_is_refused(self):
+        with pytest.raises(ValueError, match="plan"):
+            next(_segments(1000, 65536, 1, plan=sieve._plan(2000)))
+
+    def test_own_plan_is_accepted(self):
+        for n in (1, 2, 3, 1000, 100_000):
+            segs = list(_segments(n, 65536, 1, plan=sieve._plan(n)))
+            assert segs[-1].hi == n + 1
+
+    def test_top_prime_matches_the_plan(self):
+        for limit in range(2, 3000):
+            primes = primes_1mod4(limit)
+            expected = int(primes[-1]) if primes.size else None
+            assert sieve._top_prime_1mod4(limit) == expected, limit
+
+
 class TestDivisorPositions:
     def test_examples(self):
         assert divisor_positions(5, 16) == [1, 4, 6, 9, 11, 14, 16]
