@@ -35,16 +35,14 @@ from .sieve import (
     SieveSegment,
     Term,
     basis_from_primes,
-    divisor_positions,
     enumerate_primes,
     first_k_basis,
-    lemma2_witness,
     primes_1mod4,
     sieve_range,
     smallest_factor_table,
     term_value,
     terms_digest,
 )
-from .suites import SUITES, SuiteResult, run_suite
+from .suites import SUITES, SuiteResult, divisor_positions, lemma2_witness, run_suite
 
 __version__ = "0.1.0"

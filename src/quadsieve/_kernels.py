@@ -43,7 +43,25 @@ def _pow_mod_np(base: np.ndarray, exp: np.ndarray, m: np.ndarray) -> np.ndarray:
     return r
 
 
-def _least_roots_np(primes: np.ndarray) -> np.ndarray:
+def _hits(n: int, p: np.ndarray, off: np.ndarray):
+    # each (prime, offset) pair expands to off, off + p, ... below n
+    counts = (n - 1 - off) // p + 1
+    step = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    ps = np.repeat(p, counts)
+    return np.repeat(off, counts) + step * ps, ps
+
+
+# ---------------------------------------------------------------------------
+# entry points
+# ---------------------------------------------------------------------------
+
+
+def least_roots_bulk(primes: np.ndarray) -> np.ndarray:
+    """Least roots of 4*z**2 + 1 = 0 (mod p) for an array of primes = 1 mod 4."""
+    if primes.size == 0:
+        return np.empty(0, dtype=np.int64)
+    if primes.max() > 2 * MAX_INDEX:  # p*p must stay below 2**63
+        raise RangeError(f"prime {primes.max()} exceeds the int64 ceiling {2 * MAX_INDEX}")
     # smallest non-residue c per prime (c**((p-1)/2) = -1), found by a masked search
     c, todo, cand = np.empty_like(primes), np.arange(primes.size), 2
     while todo.size:
@@ -57,15 +75,15 @@ def _least_roots_np(primes: np.ndarray) -> np.ndarray:
     return np.minimum(r, primes - r)
 
 
-def _hits(n: int, p: np.ndarray, off: np.ndarray):
-    # each (prime, offset) pair expands to off, off + p, ... below n
-    counts = (n - 1 - off) // p + 1
-    step = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    ps = np.repeat(p, counts)
-    return np.repeat(off, counts) + step * ps, ps
+def strike_segment(lo: int, hi: int, primes: np.ndarray, roots: np.ndarray):
+    """Factor indices [lo, hi) against (prime, root) pairs.
 
-
-def _strike_np(lo: int, hi: int, primes: np.ndarray, roots: np.ndarray):
+    Returns (positions, primes, exponents), parallel arrays sorted by
+    position with ties in ascending prime order.  The pairs must cover
+    every prime p <= 2*(hi - 1) that is 1 mod 4; what then remains of a
+    value is 1 or a single prime above 2*n, since 4*n*n + 1 < (2*n + 1)**2,
+    and any other leftover is refused.
+    """
     n = hi - lo
     idx = np.arange(lo, hi, dtype=np.int64)
     cof = 4 * idx * idx + 1
@@ -101,43 +119,22 @@ def _strike_np(lo: int, hi: int, primes: np.ndarray, roots: np.ndarray):
     # a leftover above 1 is a prime beyond every struck one: appended, it sorts last
     left = np.flatnonzero(cof > 1)
     pos, ps = np.concatenate([pos, left]), np.concatenate([ps, cof[left]])
+    rest = ps[ps.size - left.size :]  # a view of the leftovers just appended
+    low = np.flatnonzero(rest <= 2 * (left + lo))  # a struck prime or power was missed
+    if low.size:
+        bad = int(left[low[0]]) + lo
+        raise AssertionError(f"index {bad} leaves {rest[low[0]]}, not a prime above {2 * bad}")
     es = np.concatenate([es, np.ones(left.size, dtype=np.int64)])
-    cof[left] = 1
+    # every entry carries a positive exponent; a zero one means a kernel bug
+    if es.size and es.min() <= 0:
+        raise AssertionError("strike kernel marked an index its prime does not divide")
     # LSD radix order on the offset: numpy radix-sorts 16-bit keys when asked
     # for a stable sort, and each stable pass keeps ties in ascending prime
     # order; n <= MAX_INDEX < 2**32, so two 16-bit digits cover any segment
     order = np.argsort(pos.astype(np.uint16), kind="stable")
     if n > 1 << 16:
         order = order[np.argsort((pos[order] >> 16).astype(np.uint16), kind="stable")]
-    return pos[order] + lo, ps[order], es[order], cof
-
-
-# ---------------------------------------------------------------------------
-# entry points
-# ---------------------------------------------------------------------------
-
-
-def least_roots_bulk(primes: np.ndarray) -> np.ndarray:
-    """Least roots of 4*z**2 + 1 = 0 (mod p) for an array of primes = 1 mod 4."""
-    if primes.size == 0:
-        return np.empty(0, dtype=np.int64)
-    if primes.max() > 2 * MAX_INDEX:  # p*p must stay below 2**63
-        raise RangeError(f"prime {primes.max()} exceeds the int64 ceiling {2 * MAX_INDEX}")
-    return _least_roots_np(primes)
-
-
-def strike_segment(lo: int, hi: int, primes: np.ndarray, roots: np.ndarray):
-    """Factor indices [lo, hi) against (prime, root) pairs.
-
-    Returns (positions, primes, exponents, cofactor) where the first three
-    are parallel arrays sorted by position (ties already in ascending prime
-    order) and cofactor is all ones once every factor is accounted for.
-    """
-    pos, ps, es, cof = _strike_np(lo, hi, primes, roots)
-    # a marked position must actually be divisible; zero exponent means a bug
-    if es.size and es.min() <= 0:
-        raise AssertionError("strike kernel marked an index its prime does not divide")
-    return pos, ps, es, cof
+    return pos[order] + lo, ps[order], es[order]
 
 
 def warmup() -> str:

@@ -33,7 +33,9 @@ from .sieve import (
     _digest,
     _plan,
     _segments,
+    basis_from_primes,
     enumerate_primes,
+    first_k_basis,
     primes_1mod4,  # noqa: F401  looked up here by perfbench's tracer and its tests
     sieve_range,
     term_value,
@@ -88,9 +90,7 @@ class Emitter:
     def _csv_cell(self, key, value):
         if key in ("factors",):
             return _factors_str(value)
-        if key in ("roots", "examples"):
-            return " ".join(str(v) for v in value)
-        if key == "primes":
+        if key in ("roots", "examples", "primes"):
             return " ".join(str(v) for v in value)
         if key == "nu_table":
             return ";".join(f"{d}:{nu}" for d, nu in value.items())
@@ -216,12 +216,8 @@ def cmd_census(args) -> int:
     if (args.k is None) == (args.primes is None):
         raise ValueError("give exactly one of --k or --primes")
     if args.k is not None:
-        from .sieve import first_k_basis
-
         basis = first_k_basis(args.k)
     else:
-        from .sieve import basis_from_primes
-
         basis = basis_from_primes(int(p) for p in args.primes.split(","))
     report = census(basis, args.horizon)
     emit = Emitter(args.format)
@@ -371,10 +367,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except QuadsieveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OverflowError) as exc:
+    except (QuadsieveError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -7,7 +7,6 @@ two per prime power (lifted from the prime), glued by the CRT.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import oracle
@@ -118,10 +117,3 @@ def root_summary(m: int, factorization=None) -> RootSummary:
         raise AssertionError(f"{m} does not divide 4*{r}**2+1")
     return RootSummary(m=m, least_root=r, cofactor=x)
 
-
-def least_root_lower_bound(m: int) -> int:
-    """Smallest integer r with 4*r**2 >= m - 1, i.e. ceil(sqrt(m-1)/2)."""
-    s = math.isqrt(m - 1)
-    if s * s < m - 1:
-        s += 1
-    return (s + 1) // 2

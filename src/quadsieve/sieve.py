@@ -3,7 +3,7 @@
 A prime p divides the value at n exactly when n falls on one of the two
 progressions n = +-root (mod p), so factoring a whole index range means
 striking those progressions for every prime p < 2*hi and dividing out
-repeated powers; any cofactor left at the end is itself prime.  Striking
+repeated powers; what is left at n is 1 or a prime above 2*n.  Striking
 goes segment by segment through the numpy kernels, but the plan holds
 every prime p <= 2*n_max and its root, so memory is O(n_max).  A window
 [start, n_max] still needs that whole plan, but it strikes only its own
@@ -75,9 +75,8 @@ class Term:
 class SieveSegment:
     """Factored slice of indices [lo, hi) in parallel-array form.
 
-    positions/primes/exponents are sorted by position (ascending prime
-    within a position); cofactor holds what remains undivided per index
-    and must be all ones once the segment is complete.
+    positions/primes/exponents are sorted by position, with ascending
+    primes within a position.
     """
 
     lo: int
@@ -85,35 +84,29 @@ class SieveSegment:
     positions: np.ndarray
     primes: np.ndarray
     exponents: np.ndarray
-    cofactor: np.ndarray
+
+    def _counts(self) -> np.ndarray:
+        """Entries per index lo .. hi - 1."""
+        counts = np.bincount(self.positions - self.lo, minlength=self.hi - self.lo)
+        if not counts.all():  # every value 4*n*n + 1 > 1 has a prime factor
+            raise AssertionError(f"segment [{self.lo},{self.hi}) is missing indices")
+        return counts
 
     def check(self) -> None:
-        if not bool((self.cofactor == 1).all()):
-            raise BadFactorizationError(f"segment [{self.lo},{self.hi}) left cofactors > 1")
-        starts = self._starts()
-        heads = self.positions[starts]
-        if not bool((heads == np.arange(self.lo, self.hi, dtype=np.int64)).all()):
-            raise BadFactorizationError(f"segment [{self.lo},{self.hi}) is missing indices")
+        counts = self._counts()
+        n = np.arange(self.lo, self.hi, dtype=np.int64)
+        if not np.array_equal(self.positions, np.repeat(n, counts[: n.size])):
+            raise BadFactorizationError(f"segment [{self.lo},{self.hi}) is out of position order")
         # partial products divide the term value, so int64 stays exact here
-        prods = np.multiply.reduceat(self.primes**self.exponents, starts)
-        if not bool((prods == 4 * heads * heads + 1).all()):
+        prods = np.multiply.reduceat(self.primes**self.exponents, np.cumsum(counts) - counts)
+        if not bool((prods == 4 * n * n + 1).all()):
             raise BadFactorizationError(
                 f"segment [{self.lo},{self.hi}) factors do not multiply back"
             )
 
-    def _starts(self) -> np.ndarray:
-        pos = self.positions
-        if pos.size == 0:
-            return np.empty(0, dtype=np.int64)
-        cuts = np.flatnonzero(pos[1:] != pos[:-1]) + 1
-        return np.concatenate([np.zeros(1, dtype=np.int64), cuts])
-
     def terms(self) -> Iterator[Term]:
-        counts = np.bincount(self.positions - self.lo, minlength=self.hi - self.lo)
-        if not counts.all():  # every value 4*n*n + 1 > 1 has a prime factor
-            raise AssertionError(f"segment [{self.lo},{self.hi}) is missing indices")
         factors = zip(self.primes.tolist(), self.exponents.tolist())  # sorted by position
-        for n, k in enumerate(counts.tolist(), self.lo):
+        for n, k in enumerate(self._counts().tolist(), self.lo):
             yield Term(n, term_value(n), tuple(islice(factors, k)))
 
     def packed(self) -> bytes:
@@ -194,15 +187,13 @@ def sieve_segment(
         raise ValueError(f"bad segment bounds [{lo}, {hi})")
     check_index_range(hi - 1)
     cut = int(np.searchsorted(primes, 2 * hi))
-    pos, ps, es, cof = strike_segment(lo, hi, primes[:cut], roots[:cut])
-    return SieveSegment(lo, hi, pos, ps, es, cof)
+    return SieveSegment(lo, hi, *strike_segment(lo, hi, primes[:cut], roots[:cut]))
 
 
 def _segments(
     n_max: int,
     segment_size: int,
     workers: int,
-    chunk_floor: int = CHUNK_FLOOR,
     *,
     start: int = 1,
     plan: tuple[np.ndarray, np.ndarray] | None = None,
@@ -221,7 +212,7 @@ def _segments(
     check_index_range(n_max)
     if segment_size < 1:
         raise ValueError(f"segment_size must be >= 1, got {segment_size}")
-    chunk = max(segment_size, chunk_floor)
+    chunk = max(segment_size, CHUNK_FLOOR)
     if plan is None:
         plan = _plan(n_max)
     else:
@@ -257,7 +248,6 @@ def sieve_range(
     *,
     start: int = 1,
     workers: int = 1,
-    chunk_floor: int = CHUNK_FLOOR,
 ) -> Iterator[Term]:
     """Stream fully factored terms for n = start .. n_max in ascending order.
 
@@ -266,7 +256,7 @@ def sieve_range(
     Output is identical for every segment_size and worker count; those
     knobs trade memory against speed only.
     """
-    for seg in _segments(n_max, segment_size, workers, chunk_floor, start=start):
+    for seg in _segments(n_max, segment_size, workers, start=start):
         yield from seg.terms()
 
 
@@ -282,29 +272,13 @@ def terms_digest(
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     *,
     workers: int = 1,
-    chunk_floor: int = CHUNK_FLOOR,
 ) -> str:
     """Digest of the canonical factorization stream for n = 1 .. n_max.
 
     Hashes the (n, prime, exponent) int64 triples in ascending order, so
     equal digests mean identical factorizations term for term.
     """
-    return _digest(_segments(n_max, segment_size, workers, chunk_floor))
-
-
-def divisor_positions(p: int, n_max: int) -> list[int]:
-    """All n <= n_max whose value 4*n*n + 1 is divisible by the prime p.
-
-    These are exactly the two progressions +-root (mod p); no other index
-    is divisible, which the verification suites check against direct scans.
-    """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    check_index_range(n_max)
-    r = modarith.sqrt_minus_one(p)
-    a = np.arange(r, n_max + 1, p, dtype=np.int64)
-    b = np.arange(p - r, n_max + 1, p, dtype=np.int64)
-    return np.sort(np.concatenate([a, b])).tolist()
+    return _digest(_segments(n_max, segment_size, workers))
 
 
 def enumerate_primes(
@@ -316,13 +290,8 @@ def enumerate_primes(
     """Indices n <= n_max whose value 4*n*n + 1 is prime."""
     out: list[int] = []
     for seg in _segments(n_max, segment_size, workers):
-        starts = seg._starts()
-        ends = np.concatenate([starts[1:], np.array([seg.positions.size])])
-        single = np.flatnonzero((ends - starts) == 1)
-        first = starts[single]
-        n = seg.positions[first]
-        ok = (seg.exponents[first] == 1) & (seg.primes[first] == 4 * n * n + 1)
-        out.extend(n[ok].tolist())
+        n = seg.positions
+        out.extend(n[seg.primes == 4 * n * n + 1].tolist())
     return out
 
 
@@ -332,7 +301,7 @@ def first_k_basis(k: int) -> PrimeBasis:
     A prime first divides the value at its least root r <= (p - 1)/2, and
     every later index it divides is n >= p - r > p/2, so an entry (n, p)
     of the sieve is p's debut exactly when p > 2*n; this holds for
-    leftover cofactor primes too.  Two primes cannot debut at the same
+    leftover primes too.  Two primes cannot debut at the same
     index: that would need p*q <= 4*n*n + 1 with both p, q >= 2*n + 1.
     So the debuts, read in index order, are the basis; when a window
     holds fewer than k of them, the next window [hi + 1, 2*hi] is sieved.
@@ -367,21 +336,3 @@ def basis_from_primes(primes: Iterable[int]) -> PrimeBasis:
         entries.append(BasisPrime(p, least_root=r, first_index=r))
     entries.sort(key=lambda b: (b.first_index, b.prime))
     return tuple(entries)
-
-
-def lemma2_witness(n: int) -> bool:
-    """Check at index n that coprimality with all earlier terms implies primality.
-
-    Returns False only on a counterexample: a composite value coprime to
-    every earlier one.  Shared factors or a prime value both satisfy the
-    implication vacuously or directly.
-    """
-    if n < 2:
-        raise ValueError(f"witness needs n >= 2, got {n}")
-    check_index_range(n)
-    v = term_value(n)
-    earlier = np.arange(1, n, dtype=np.int64)
-    shared = np.gcd(4 * earlier * earlier + 1, v)
-    if bool((shared == 1).all()):
-        return modarith.is_prime(v)
-    return True

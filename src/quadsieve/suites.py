@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import modarith, oracle
+from ._kernels import check_index_range
 from .census import (
     exact_coprime_count,
     inclusion_exclusion_count,
@@ -24,9 +25,7 @@ from .census import (
 from .errors import QuadsieveError
 from .roots import root_summary
 from .sieve import (
-    divisor_positions,
     first_k_basis,
-    lemma2_witness,
     primes_1mod4,
     sieve_range,
     smallest_factor_table,
@@ -68,10 +67,9 @@ class SuiteResult:
             self.examples.append(message)
 
 
-def iter_pp(limit: int, spf: np.ndarray | None = None):
+def iter_pp(limit: int):
     """Yield (m, factorization) for odd m <= limit with all primes = 1 mod 4."""
-    if spf is None:
-        spf = smallest_factor_table(limit)
+    spf = smallest_factor_table(limit)
     for m in range(5, limit + 1, 2):
         v = m
         factors = []
@@ -90,6 +88,39 @@ def iter_pp(limit: int, spf: np.ndarray | None = None):
             yield m, factors
 
 
+def divisor_positions(p: int, n_max: int) -> list[int]:
+    """All n <= n_max whose value 4*n*n + 1 is divisible by the prime p.
+
+    These are exactly the two progressions +-root (mod p); no other index
+    is divisible, which the verification suites check against direct scans.
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    check_index_range(n_max)
+    r = modarith.sqrt_minus_one(p)
+    a = np.arange(r, n_max + 1, p, dtype=np.int64)
+    b = np.arange(p - r, n_max + 1, p, dtype=np.int64)
+    return np.sort(np.concatenate([a, b])).tolist()
+
+
+def lemma2_witness(n: int) -> bool:
+    """Check at index n that coprimality with all earlier terms implies primality.
+
+    Returns False only on a counterexample: a composite value coprime to
+    every earlier one.  Shared factors or a prime value both satisfy the
+    implication vacuously or directly.
+    """
+    if n < 2:
+        raise ValueError(f"witness needs n >= 2, got {n}")
+    check_index_range(n)
+    v = term_value(n)
+    earlier = np.arange(1, n, dtype=np.int64)
+    shared = np.gcd(4 * earlier * earlier + 1, v)
+    if bool((shared == 1).all()):
+        return modarith.is_prime(v)
+    return True
+
+
 def suite_lemma1(limit: int) -> SuiteResult:
     """Divisor classes: sieve factors all lie in 1 mod 4 and multiply back;
     moduli with a factor in 3 mod 4 have no roots at all (exhaustive scan)."""
@@ -104,18 +135,10 @@ def suite_lemma1(limit: int) -> SuiteResult:
         except QuadsieveError as exc:
             res.fail(str(exc))
     scan_limit = min(limit, 100_000)
-    spf = smallest_factor_table(scan_limit)
+    # an odd m >= 3 that iter_pp skips has a prime factor = 3 mod 4
+    all_1mod4 = {m for m, _ in iter_pp(scan_limit)}
     for m in range(3, scan_limit + 1, 2):
-        v = m
-        has_bad = False
-        while v > 1:
-            p = int(spf[v])
-            if p % 4 == 3:
-                has_bad = True
-                break
-            while v % p == 0:
-                v //= p
-        if not has_bad:
+        if m in all_1mod4:
             continue
         res.cases += 1
         found = oracle.naive_root_scan(m)

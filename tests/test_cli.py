@@ -123,14 +123,13 @@ class TestTermsWindow:
             assert code == 2 and out == "", argv
 
     def test_invariant_failure_exits_1_without_traceback(self, capsys, monkeypatch):
-        original = kernels._strike_np
+        original = kernels._hits
 
-        def corrupt(*args):
-            pos, ps, es, cof = original(*args)
-            es[0] = 0
-            return pos, ps, es, cof
+        def duplicate_first(*args):  # a hit struck twice fails multiply-back
+            pos, ps = original(*args)
+            return np.append(pos, pos[:1]), np.append(ps, ps[:1])
 
-        monkeypatch.setattr(kernels, "_strike_np", corrupt)
+        monkeypatch.setattr(kernels, "_hits", duplicate_first)
         for argv in (["terms", "1..100"], ["bench", "--limit", "100"]):
             code, _, err = run_cli(capsys, *argv)
             assert code == 1, argv
@@ -156,14 +155,14 @@ class TestTermsWindow:
         assert err.startswith("oracle mismatch at n=4: sieve said ((5, 1), (13, 1))")
 
     def test_missing_index_exits_1(self, capsys, monkeypatch):
-        original = kernels._strike_np
+        original = sieve.strike_segment
 
         def drop_first_index(*args):
-            pos, ps, es, cof = original(*args)
+            pos, ps, es = original(*args)
             keep = pos != pos[0]
-            return pos[keep], ps[keep], es[keep], cof
+            return pos[keep], ps[keep], es[keep]
 
-        monkeypatch.setattr(kernels, "_strike_np", drop_first_index)
+        monkeypatch.setattr(sieve, "strike_segment", drop_first_index)
         code, _, err = run_cli(capsys, "terms", "1..100", "--format", "json-lines")
         assert code == 1
         assert err.startswith("error: internal invariant failed: segment [1,101) is missing indices")
@@ -280,7 +279,9 @@ class TestBench:
                 capsys, "bench", "--limit", "20000", "--segment-size", seg, "--format", "json-lines"
             )
             assert code == 0
-            digests.add(json.loads(out)["digest"])
+            rec = json.loads(out)
+            assert rec["chunk"] == 4096  # segment size 1 is raised to the chunk floor
+            digests.add(rec["digest"])
         assert len(digests) == 1
 
     def test_peak_segment_bytes_counts_the_plan(self, capsys):

@@ -18,7 +18,7 @@ from quadsieve import (
 )
 from quadsieve._kernels import MAX_INDEX, check_index_range, least_roots_bulk, strike_segment
 from quadsieve.errors import BadFactorizationError, RangeError
-from quadsieve.sieve import SieveSegment, primes_1mod4
+from quadsieve.sieve import CHUNK_FLOOR, SieveSegment, primes_1mod4
 
 from golden import DIGEST_1E6
 
@@ -62,20 +62,13 @@ class TestLeastRootsBulk:
 
 
 class TestStrikeSegment:
-    def test_cofactor_all_ones_after_completion(self):
-        primes = primes_1mod4(600)
-        roots = least_roots_bulk(primes)
-        _, _, _, cof = strike_segment(100, 300, primes, roots)
-        assert bool((cof == 1).all())
-
     @given(lo=st.integers(1, 200_000), width=st.integers(1, 3000))
     @settings(max_examples=10, deadline=None)
     def test_matches_trial_division(self, lo, width):
         hi = lo + width
         primes = primes_1mod4(2 * hi)
         roots = least_roots_bulk(primes)
-        pos, ps, es, cof = strike_segment(lo, hi, primes, roots)
-        assert bool((cof == 1).all())
+        pos, ps, es = strike_segment(lo, hi, primes, roots)
         got: dict[int, list] = {}
         for n, p, e in zip(pos.tolist(), ps.tolist(), es.tolist()):
             got.setdefault(n, []).append((p, e))
@@ -94,11 +87,11 @@ class TestStrikeSegment:
     def test_entries_come_in_position_then_prime_order(self, lo, width):
         hi = lo + width
         primes = primes_1mod4(2 * hi)
-        pos, ps, es, cof = strike_segment(lo, hi, primes, least_roots_bulk(primes))
+        pos, ps, es = strike_segment(lo, hi, primes, least_roots_bulk(primes))
         order = np.lexsort((ps, pos))
         for got in (pos, ps, es):
             assert np.array_equal(got, got[order])
-        SieveSegment(lo, hi, pos, ps, es, cof).check()
+        SieveSegment(lo, hi, pos, ps, es).check()
 
     def test_duplicated_hit_fails_multiply_back(self, monkeypatch):
         original = kernels._hits
@@ -112,8 +105,15 @@ class TestStrikeSegment:
         with pytest.raises(AssertionError, match="do not divide"):
             strike_segment(100, 300, primes, least_roots_bulk(primes))
 
+    def test_leftover_not_above_2n_is_refused(self):
+        # without 5 in the plan, 65 = 5 * 13 at n = 4 leaves 5, which is not above 8
+        primes = primes_1mod4(600)
+        primes = primes[primes != 5]
+        with pytest.raises(AssertionError, match="index 4 leaves 5, not a prime above 8"):
+            strike_segment(1, 300, primes, least_roots_bulk(primes))
+
     def test_corrupt_root_raises_instead_of_hanging(self):
-        # a pair that does not divide must trip the zero-exponent guard; the
+        # a pair that does not divide must raise, not loop; the
         # subprocess timeout turns a regression into a failure, not a hang
         code = (
             "from quadsieve._kernels import least_roots_bulk, strike_segment\n"
@@ -134,10 +134,12 @@ class TestStrikeSegment:
 
 class TestDigest:
     def test_digest_independent_of_everything(self):
-        reference = terms_digest(800, 65536)
-        for seg in (1, 3, 64, 511):
+        # 3 * CHUNK_FLOOR + 5 indices: several chunks, and a short last one
+        n_max = 3 * CHUNK_FLOOR + 5
+        reference = terms_digest(n_max, 65536)
+        for seg in (1, CHUNK_FLOOR - 1, CHUNK_FLOOR, CHUNK_FLOOR + 1):
             for workers in (1, 3):
-                got = terms_digest(800, seg, workers=workers, chunk_floor=1)
+                got = terms_digest(n_max, seg, workers=workers)
                 assert got == reference, (seg, workers)
 
     def test_digest_1e6_on_both_sides_of_the_second_radix_pass(self):

@@ -9,7 +9,6 @@ from quadsieve import (
     root_summary,
     term_value,
 )
-from quadsieve.roots import least_root_lower_bound
 from quadsieve.suites import iter_pp, run_suite
 
 
@@ -70,7 +69,7 @@ class TestRootSummary:
         for m, factors in iter_pp(100_000):
             s = root_summary(m, factors)
             assert m * s.cofactor == 4 * s.least_root**2 + 1
-            assert least_root_lower_bound(m) <= s.least_root <= (m - 1) // 2
+            assert 4 * s.least_root**2 + 1 >= m and 2 * s.least_root <= m - 1
             assert s.cofactor <= m - 2
 
     def test_least_root_is_first_divisible_index(self):
@@ -79,15 +78,6 @@ class TestRootSummary:
             for n in range(1, r):
                 assert term_value(n) % m != 0, (m, n)
             assert term_value(r) % m == 0, m
-
-
-class TestLowerBoundHelper:
-    @given(st.integers(min_value=3, max_value=10**9).map(lambda v: v | 1))
-    @settings(max_examples=200, deadline=None)
-    def test_matches_predicate(self, m):
-        r = least_root_lower_bound(m)
-        assert 4 * r * r >= m - 1
-        assert r == 0 or 4 * (r - 1) * (r - 1) < m - 1
 
 
 class TestFirstDegree:

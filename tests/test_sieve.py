@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import quadsieve.sieve as sieve
 from quadsieve import (
+    BadFactorizationError,
     RangeError,
     Term,
     divisor_positions,
@@ -75,18 +76,19 @@ class TestSieveRange:
 
     def test_factor_classes_and_products_to_1e5(self):
         for seg in _segments(100_000, 65536, 1):
-            seg.check()  # cofactors exhausted, products multiply back
+            seg.check()  # every index present, products multiply back
             assert bool((seg.primes % 4 == 1).all())
 
-    @given(
-        n_max=st.integers(min_value=1, max_value=400),
-        sizes=st.lists(st.integers(min_value=1, max_value=64), min_size=1, max_size=3),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_segment_independence(self, n_max, sizes):
-        whole = list(sieve_range(n_max, n_max + 1, chunk_floor=1))
-        for size in sizes:
-            assert list(sieve_range(n_max, size, chunk_floor=1)) == whole
+    @given(n_max=st.integers(min_value=1, max_value=3 * CHUNK_FLOOR + 2))
+    @example(n_max=CHUNK_FLOOR)
+    @example(n_max=CHUNK_FLOOR + 1)
+    @example(n_max=2 * CHUNK_FLOOR + 1)
+    @settings(max_examples=8, deadline=None)
+    def test_segment_independence(self, n_max):
+        whole = list(sieve_range(n_max, n_max + 1))
+        for size in (1, CHUNK_FLOOR - 1, CHUNK_FLOOR, CHUNK_FLOOR + 1):
+            for workers in (1, 3):
+                assert list(sieve_range(n_max, size, workers=workers)) == whole, (size, workers)
 
     def test_range_guard(self):
         with pytest.raises(RangeError):
@@ -94,20 +96,34 @@ class TestSieveRange:
 
     @given(
         hi=st.integers(min_value=1, max_value=200_000),
-        width=st.integers(min_value=1, max_value=2000),
-        size=st.sampled_from([1, 7, 64, 4096, 65536]),
-        chunk_floor=st.sampled_from([1, CHUNK_FLOOR]),
+        width=st.integers(min_value=1, max_value=3 * CHUNK_FLOOR),
+        size=st.sampled_from([1, 7, CHUNK_FLOOR - 1, CHUNK_FLOOR, CHUNK_FLOOR + 1, 65536]),
     )
     @settings(max_examples=12, deadline=None)
-    def test_window_is_slice_of_full_range(self, hi, width, size, chunk_floor):
+    def test_window_is_slice_of_full_range(self, hi, width, size):
         lo = max(1, hi - width + 1)
-        window = list(sieve_range(hi, size, start=lo, chunk_floor=chunk_floor))
+        window = list(sieve_range(hi, size, start=lo))
         assert window == [t for t in sieve_range(hi) if t.n >= lo]
 
     def test_window_bounds_refused(self):
         for start, n_max in ((0, 10), (-3, 10), (11, 10)):
             with pytest.raises(ValueError):
                 next(iter(sieve_range(n_max, start=start)))
+
+    def test_check_refuses_missing_and_misordered_entries(self):
+        primes = primes_1mod4(60)
+        seg = sieve.sieve_segment(1, 30, primes, sieve.least_roots_bulk(primes))
+        seg.check()
+        keep = seg.positions != 9
+        gap = sieve.SieveSegment(1, 30, *(a[keep] for a in (seg.positions, seg.primes, seg.exponents)))
+        for use in (gap.check, lambda: list(gap.terms())):
+            with pytest.raises(AssertionError, match=r"segment \[1,30\) is missing indices"):
+                use()
+        swap = np.arange(seg.positions.size)
+        swap[[0, -1]] = swap[[-1, 0]]
+        shuffled = sieve.SieveSegment(1, 30, seg.positions[swap], seg.primes[swap], seg.exponents[swap])
+        with pytest.raises(BadFactorizationError, match="out of position order"):
+            shuffled.check()
 
     def test_term_verify_catches_corruption(self):
         t = Term(4, 65, ((5, 1), (13, 1)))
