@@ -39,7 +39,6 @@ from .sieve import (
     first_k_basis,
     primes_1mod4,
     sieve_range,
-    smallest_factor_table,
     term_value,
     terms_digest,
 )

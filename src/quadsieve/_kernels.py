@@ -85,8 +85,8 @@ def strike_segment(lo: int, hi: int, primes: np.ndarray, roots: np.ndarray):
     and any other leftover is refused.
     """
     n = hi - lo
-    idx = np.arange(lo, hi, dtype=np.int64)
-    cof = 4 * idx * idx + 1
+    cof = np.arange(lo, hi, dtype=np.int64)
+    cof = 4 * cof * cof + 1  # the values; the index array is not kept alive
     # first offset of each branch +-root (mod p), kept only where it lands
     # here; a stable sort by prime index merges the two ascending runs
     off_a, off_b = (roots - lo) % primes, (primes - roots - lo) % primes

@@ -27,9 +27,9 @@ from .census import census
 from .errors import QuadsieveError
 from .roots import all_roots, root_summary
 from .sieve import (
-    CHUNK_FLOOR,
     DEFAULT_SEGMENT_SIZE,
     Term,
+    _chunk,
     _digest,
     _plan,
     _segments,
@@ -261,7 +261,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    chunk = max(args.segment_size, CHUNK_FLOOR)
+    chunk = _chunk(args.segment_size)
     start = time.perf_counter()
     plan = _plan(args.limit)  # the sieve's own plan; its size enters peak_segment_bytes
     digest = _digest(_segments(args.limit, args.segment_size, args.workers, plan=plan))

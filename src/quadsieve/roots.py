@@ -60,51 +60,48 @@ class RootSummary:
             raise AssertionError(f"least-root bounds violated for m={m}, r={r}, x={x}")
 
 
-def _normalize_factorization(m: int, factorization) -> list[PrimePower]:
+def _normalize_factorization(m: int, factorization) -> list[tuple[int, int]]:
+    """Checked (p, e) pairs of m; primality is left to sqrt_minus_one."""
     if m < 3 or m % 2 == 0:
         raise NoRootsError(f"modulus must be odd and >= 3, got {m}")
     if factorization is None:
         factorization = oracle.naive_factor(m)
-    pps = []
+    pairs = []
     check = 1
-    for item in factorization:
-        if isinstance(item, PrimePower):
-            pp = item
-        else:
-            p, e = item
-            if p % 4 != 1:
-                raise NoRootsError(
-                    f"{m} has prime factor {p} in class {p % 4} mod 4; no roots exist"
-                )
-            pp = PrimePower(p, e)
-        pps.append(pp)
-        check *= pp.value
+    for p, e in factorization:
+        if p % 4 != 1:
+            raise NoRootsError(f"{m} has prime factor {p} in class {p % 4} mod 4; no roots exist")
+        if e < 1:
+            raise ValueError(f"exponent must be >= 1, got {e}")
+        pairs.append((p, e))
+        check *= p**e
     if check != m:
         raise BadFactorizationError(f"factorization multiplies to {check}, not {m}")
-    if len({pp.p for pp in pps}) != len(pps):
+    if len({p for p, _ in pairs}) != len(pairs):
         raise BadFactorizationError(f"repeated prime in factorization of {m}")
-    return pps
+    return pairs
 
 
-def _prime_power_roots(pp: PrimePower) -> list[int]:
-    z = sqrt_minus_one(pp.p)
-    for e in range(2, pp.e + 1):
-        z = hensel_lift(z, PrimePower(pp.p, e))
-    return sorted((z, pp.value - z))
+def _prime_power_roots(p: int, e: int) -> list[int]:
+    z = sqrt_minus_one(p)  # the one primality and class test of p
+    for k in range(2, e + 1):
+        z = hensel_lift(z, PrimePower(p, k))
+    return sorted((z, p**e - z))
 
 
 def all_roots(m: int, factorization=None) -> RootSet:
     """Complete sorted root set of m; factorization defaults to trial division.
 
-    PrimePower construction rejects any prime in class 3 mod 4, which is
-    precisely the case with no roots at all.
+    The factorization is (p, e) pairs.  A prime in class 3 mod 4 is
+    precisely the case with no roots at all, and raises NoRootsError.
     """
-    pps = _normalize_factorization(m, factorization)
-    acc_m, acc_roots = pps[0].value, _prime_power_roots(pps[0])
-    for pp in pps[1:]:
-        acc_roots = crt_combine(acc_m, acc_roots, pp.value, _prime_power_roots(pp))
-        acc_m *= pp.value
-    return RootSet(m=m, roots=tuple(acc_roots), nu=len(pps))
+    pairs = _normalize_factorization(m, factorization)
+    (p, e), *rest = pairs
+    acc_m, acc_roots = p**e, _prime_power_roots(p, e)
+    for p, e in rest:
+        acc_roots = crt_combine(acc_m, acc_roots, p**e, _prime_power_roots(p, e))
+        acc_m *= p**e
+    return RootSet(m=m, roots=tuple(acc_roots), nu=len(pairs))
 
 
 def root_summary(m: int, factorization=None) -> RootSummary:

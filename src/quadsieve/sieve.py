@@ -36,6 +36,11 @@ DEFAULT_SEGMENT_SIZE = 65536
 CHUNK_FLOOR = 4096
 
 
+def _chunk(segment_size: int) -> int:
+    """Indices struck per segment for a requested segment_size."""
+    return max(segment_size, CHUNK_FLOOR)
+
+
 def term_value(n: int) -> int:
     return 4 * n * n + 1
 
@@ -150,18 +155,6 @@ def primes_1mod4(limit: int) -> np.ndarray:
     return primes[primes % 4 == 1]
 
 
-def smallest_factor_table(limit: int) -> np.ndarray:
-    """spf[v] = smallest prime factor of v, for 0 <= v <= limit (spf[0]=0, spf[1]=1)."""
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            view = spf[p * p :: p]
-            view[view == 0] = p
-    rest = np.flatnonzero(spf == 0)
-    spf[rest] = rest
-    return spf
-
-
 def _plan(n_max: int):
     check_index_range(n_max)
     primes = primes_1mod4(2 * n_max)
@@ -212,7 +205,7 @@ def _segments(
     check_index_range(n_max)
     if segment_size < 1:
         raise ValueError(f"segment_size must be >= 1, got {segment_size}")
-    chunk = max(segment_size, CHUNK_FLOOR)
+    chunk = _chunk(segment_size)
     if plan is None:
         plan = _plan(n_max)
     else:

@@ -9,6 +9,7 @@ of the CLI contract.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass, field
 
@@ -28,7 +29,6 @@ from .sieve import (
     first_k_basis,
     primes_1mod4,
     sieve_range,
-    smallest_factor_table,
     term_value,
 )
 
@@ -68,24 +68,28 @@ class SuiteResult:
 
 
 def iter_pp(limit: int):
-    """Yield (m, factorization) for odd m <= limit with all primes = 1 mod 4."""
-    spf = smallest_factor_table(limit)
-    for m in range(5, limit + 1, 2):
-        v = m
-        factors = []
-        good = True
-        while v > 1:
-            p = int(spf[v])
-            if p % 4 != 1:
-                good = False
-                break
-            e = 0
-            while v % p == 0:
-                v //= p
-                e += 1
-            factors.append((p, e))
-        if good:
-            yield m, factors
+    """Yield (m, factorization) for odd m <= limit with all primes = 1 mod 4.
+
+    These m are the products of primes_1mod4(limit), popped in ascending
+    order from a heap.  An entry (m, b, factors of b, j, e) stands for
+    m = b * primes[j]**e with every prime of b below primes[j].  Each m has
+    exactly one entry, pushed when a smaller m that differs from it only in
+    the last prime power is popped, so the heap holds just the frontier.
+    """
+    primes = primes_1mod4(limit).tolist()
+    heap = [(5, 1, (), 0, 1)] if primes else []
+    while heap:
+        m, b, base, j, e = heapq.heappop(heap)
+        p = primes[j]
+        factors = (*base, (p, e))
+        yield m, list(factors)
+        nxt = primes[j + 1] if j + 1 < len(primes) else limit + 1
+        if e == 1 and b * nxt <= limit:  # next prime in place of p
+            heapq.heappush(heap, (b * nxt, b, base, j + 1, 1))
+        if m * p <= limit:  # one more power of p
+            heapq.heappush(heap, (m * p, b, base, j, e + 1))
+        if m * nxt <= limit:  # a new largest prime after p**e
+            heapq.heappush(heap, (m * nxt, m, factors, j + 1, 1))
 
 
 def divisor_positions(p: int, n_max: int) -> list[int]:

@@ -1,7 +1,7 @@
 import pytest
 
 from quadsieve import RangeError, naive_coprime_count, naive_factor, naive_root_scan
-from quadsieve.sieve import smallest_factor_table, term_value
+from quadsieve.sieve import term_value
 
 
 class TestNaiveFactor:
@@ -30,17 +30,8 @@ class TestNaiveRootScan:
         assert naive_root_scan(65) == [4, 9, 56, 61]
 
     def test_nonempty_iff_all_factors_1mod4(self):
-        spf = smallest_factor_table(3000)
         for m in range(3, 3001, 2):
-            v = m
-            all_good = True
-            while v > 1:
-                p = int(spf[v])
-                if p % 4 != 1:
-                    all_good = False
-                    break
-                while v % p == 0:
-                    v //= p
+            all_good = all(p % 4 == 1 for p, _ in naive_factor(m))
             assert bool(naive_root_scan(m)) == all_good, m
 
     def test_rejects_even(self):

@@ -2,13 +2,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadsieve import (
+    U64_MAX,
     BadFactorizationError,
     NoRootsError,
+    RangeError,
     all_roots,
+    is_prime,
     naive_root_scan,
     root_summary,
     term_value,
 )
+from quadsieve import modarith
 from quadsieve.suites import iter_pp, run_suite
 
 
@@ -44,6 +48,29 @@ class TestAllRoots:
             all_roots(65, [(5, 1)])
         with pytest.raises(BadFactorizationError):
             all_roots(25, [(5, 1), (5, 1)])
+
+    def test_malformed_factorizations(self):
+        with pytest.raises(BadFactorizationError):
+            all_roots(25, [(25, 1)])  # right product, but 25 is not prime
+        with pytest.raises(ValueError, match="exponent must be >= 1, got 0"):
+            all_roots(5, [(5, 0), (5, 1)])
+        p = U64_MAX + 14  # = 1 mod 4, beyond the primality test's range
+        with pytest.raises(RangeError):
+            all_roots(p, [(p, 1)])
+
+    def test_one_primality_test_per_prime_and_lift(self, monkeypatch):
+        calls = []
+
+        def counting(v):
+            calls.append(v)
+            return is_prime(v)
+
+        monkeypatch.setattr(modarith, "is_prime", counting)
+        all_roots(1105, [(5, 1), (13, 1), (17, 1)])
+        assert sorted(calls) == [5, 13, 17]
+        calls.clear()
+        all_roots(5 * 13**3, [(5, 1), (13, 3)])  # two Hensel steps for 13**3
+        assert sorted(calls) == [5, 13, 13, 13]
 
     @given(st.lists(st.sampled_from([5, 13, 17, 29, 37, 41]), min_size=1, max_size=3, unique=True))
     @settings(max_examples=60, deadline=None)

@@ -18,7 +18,7 @@ from quadsieve import (
     term_value,
 )
 from quadsieve._kernels import MAX_INDEX
-from quadsieve.sieve import CHUNK_FLOOR, _segments, primes_1mod4, smallest_factor_table
+from quadsieve.sieve import CHUNK_FLOOR, _segments, primes_1mod4
 
 from golden import FIRST_BASIS_8, GOLDEN_30, PRIME_INDICES_30
 
@@ -237,8 +237,3 @@ class TestLemma2Witness:
         with pytest.raises(ValueError):
             lemma2_witness(1)
 
-
-class TestSmallestFactorTable:
-    def test_spot_values(self):
-        spf = smallest_factor_table(100)
-        assert spf[2] == 2 and spf[9] == 3 and spf[91] == 7 and spf[97] == 97

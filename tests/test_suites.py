@@ -1,6 +1,7 @@
 import pytest
 
-from quadsieve.suites import DEFAULT_LIMITS, SUITES, run_suite
+from quadsieve import naive_factor
+from quadsieve.suites import DEFAULT_LIMITS, SUITES, iter_pp, run_suite
 
 
 class TestRegistry:
@@ -20,6 +21,15 @@ class TestRegistry:
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             run_suite("lemma9")
+
+
+def test_iter_pp_matches_trial_division():
+    expected = []
+    for m in range(3, 3001, 2):
+        factors = naive_factor(m)
+        if all(p % 4 == 1 for p, _ in factors):
+            expected.append((m, factors))
+    assert list(iter_pp(3000)) == expected
 
 
 @pytest.mark.parametrize(
