@@ -16,9 +16,16 @@ from .errors import BadFactorizationError, NoRootsError, RangeError
 
 U64_MAX = 2**64 - 1
 
-# Strong-pseudoprime witnesses making Miller-Rabin deterministic for all
-# v < 3.3e24, which covers the full 64-bit range.
+# Miller-Rabin with the first twelve primes as witnesses decides every
+# v < psi_12 = 3.19e23, past 2**64.  psi_k is the least strong pseudoprime
+# to the first k prime bases (Jaeschke 1993 up to k = 8, Sorenson and
+# Webster 2017 beyond), so a v below psi_k needs only the first k witnesses.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_TIERS = (  # (psi_k, k); psi_7 = psi_8 and psi_9 = psi_10 = psi_11
+    (2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
+    (2152302898747, 5), (3474749660383, 6), (341550071728321, 7),
+    (3825123056546413051, 9),
+)
 
 
 def _check_modulus(m: int) -> None:
@@ -46,7 +53,8 @@ def is_prime(v: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for w in _MR_WITNESSES:
+    k = next((k for bound, k in _MR_TIERS if v < bound), len(_MR_WITNESSES))
+    for w in _MR_WITNESSES[:k]:
         x = pow(w, d, v)
         if x == 1 or x == v - 1:
             continue

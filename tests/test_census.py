@@ -16,7 +16,7 @@ from quadsieve import (
     second_proof_witness,
     verify_main_identity,
 )
-from quadsieve.census import EXACT_COUNT_CAP
+from quadsieve.census import _MARK_CHUNK, EXACT_COUNT_CAP
 
 from golden import MAIN_IDENTITY_VALUES
 
@@ -63,6 +63,19 @@ class TestExactCount:
         # census --k 7 still runs in full; --k 8 is the first basis refused
         products = [math.prod(b.prime for b in first_k_basis(k)) for k in (7, 8)]
         assert products[0] <= EXACT_COUNT_CAP < products[1]
+
+    @pytest.mark.parametrize(
+        "horizon", [_MARK_CHUNK - 1, _MARK_CHUNK, _MARK_CHUNK + 1, 3 * _MARK_CHUNK + 5]
+    )
+    def test_agrees_across_mark_chunk_boundaries(self, horizon):
+        # the direct count marks 2**20 indices at a time; these horizons end
+        # one short of, on, and one past a chunk edge, and inside a fourth chunk
+        assert _MARK_CHUNK == 1 << 20
+        for primes in ([5], [5, 13], [5, 17, 37], [13, 29, 101, 197]):
+            basis = basis_from_primes(primes)
+            assert exact_coprime_count(basis, horizon) == inclusion_exclusion_count(
+                basis, horizon
+            ), primes
 
     def test_monotonic_in_horizon(self):
         basis = basis_from_primes([5, 13])

@@ -1,3 +1,6 @@
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -10,11 +13,41 @@ from quadsieve import (
     generator_root,
     hensel_lift,
     is_prime,
+    naive_factor,
     naive_root_scan,
     primitive_root,
     sqrt_minus_one,
 )
+from quadsieve.modarith import _MR_TIERS, _MR_WITNESSES
 from quadsieve.sieve import primes_1mod4
+
+# the prime factors of each bound psi_k in the witness table
+_TIER_FACTORS = {
+    2047: (23, 89),
+    1373653: (829, 1657),
+    25326001: (2251, 11251),
+    3215031751: (151, 751, 28351),
+    2152302898747: (6763, 10627, 29947),
+    3474749660383: (1303, 16927, 157543),
+    341550071728321: (10670053, 32010157),
+    3825123056546413051: (149491, 747451, 34233211),
+}
+
+
+def _strong_probable_prime(v: int, w: int) -> bool:
+    """One Miller-Rabin round: does odd v pass as a prime to base w?"""
+    d, s = v - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(w, d, v)
+    if x == 1 or x == v - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % v
+        if x == v - 1:
+            return True
+    return False
 
 
 class TestIsPrime:
@@ -46,8 +79,42 @@ class TestIsPrime:
 
     def test_strong_pseudoprimes_are_composite(self):
         # composites that defeat small witness subsets
-        for v in (2047, 3215031751, 2152302898747, 3474749660383, 341550071728321):
+        for v in (
+            2047,
+            1373653,
+            25326001,
+            3215031751,
+            2152302898747,
+            3474749660383,
+            341550071728321,
+            3825123056546413051,
+        ):
             assert not is_prime(v), v
+
+    def test_tier_bounds_are_strong_pseudoprimes_to_their_tier(self):
+        # a bound psi_k is composite yet passes all k witnesses of the tier
+        # below it, so only a later tier may test it: with "<=" for "<", or a
+        # tier cut short, test_strong_pseudoprimes_are_composite fails
+        assert [b for b, _ in _MR_TIERS] == sorted(_TIER_FACTORS)
+        for bound, k in _MR_TIERS:
+            factors = _TIER_FACTORS[bound]
+            assert math.prod(factors) == bound and min(factors) > 1, bound
+            assert all(_strong_probable_prime(bound, w) for w in _MR_WITNESSES[:k]), bound
+        ks = [k for _, k in _MR_TIERS]
+        assert ks == sorted(ks) and ks[-1] < len(_MR_WITNESSES)
+
+    def test_seeded_odd_values_in_each_tier_against_trial_division(self):
+        bounds = [3] + [b for b, _ in _MR_TIERS if b < 3 * 10**12] + [3 * 10**12]
+        rng = random.Random(20240613)
+        for lo, hi in zip(bounds, bounds[1:]):
+            for _ in range(25):
+                v = rng.randrange(lo | 1, hi, 2)
+                assert is_prime(v) == (naive_factor(v) == [(v, 1)]), v
+            # and at least one prime per band, the next one up from a seeded start
+            v = rng.randrange(lo | 1, hi, 2)
+            while naive_factor(v) != [(v, 1)]:
+                v += 2
+            assert v < hi and is_prime(v), v
 
     def test_large_primes(self):
         assert is_prime(2**61 - 1)

@@ -1,7 +1,26 @@
+import math
+import random
+
 import pytest
 
-from quadsieve import RangeError, naive_coprime_count, naive_factor, naive_root_scan
+from quadsieve import (
+    RangeError,
+    first_k_basis,
+    naive_coprime_count,
+    naive_factor,
+    naive_root_scan,
+)
+from quadsieve.oracle import NAIVE_COUNT_CAP
 from quadsieve.sieve import term_value
+
+# a prime above every value 4*n**2 + 1 under the cap, and above int64 too
+_HUGE_PRIME = 2**64 - 59
+
+
+def _gcd_count(primes, horizon):
+    """The definition itself: one gcd per term against the basis product."""
+    product = math.prod(primes)
+    return sum(1 for n in range(1, horizon + 1) if math.gcd(4 * n * n + 1, product) == 1)
 
 
 class TestNaiveFactor:
@@ -47,6 +66,28 @@ class TestNaiveCoprimeCount:
 
     def test_empty_basis(self):
         assert naive_coprime_count([], 17) == 17
+
+    def test_matches_term_by_term_gcd(self):
+        pool = list(first_k_basis(10))
+        rng = random.Random(0xC0DE)
+        for case in range(40):
+            basis = rng.sample(pool, rng.randint(0, 6))
+            if case % 3 == 0:
+                basis.append(_HUGE_PRIME)
+            # BasisPrime entries and plain ints both count by their prime
+            primes = [getattr(b, "prime", b) for b in basis]
+            if case % 2:
+                basis = primes
+            horizon = 0 if case == 0 else 20_000 if case == 1 else rng.randint(0, 20_000)
+            assert naive_coprime_count(basis, horizon) == _gcd_count(primes, horizon), (
+                primes,
+                horizon,
+            )
+
+    def test_matches_term_by_term_gcd_at_cap(self):
+        primes = [b.prime for b in first_k_basis(4)] + [_HUGE_PRIME]
+        expected = _gcd_count(primes, NAIVE_COUNT_CAP)
+        assert naive_coprime_count(primes, NAIVE_COUNT_CAP) == expected
 
     def test_cap(self):
         with pytest.raises(RangeError):

@@ -1,6 +1,6 @@
 import pytest
 
-from quadsieve import naive_factor
+from quadsieve import naive_factor, suites
 from quadsieve.suites import DEFAULT_LIMITS, SUITES, iter_pp, run_suite
 
 
@@ -51,3 +51,13 @@ def test_suites_pass_at_reduced_scale(name, limit):
     assert result.cases > 0
     assert result.suite == name
     assert result.limit == limit
+
+
+def test_eq1_oracle_alone_catches_both_fast_paths_wrong(monkeypatch):
+    # both fast counts agree with each other but are off by one; only the
+    # naive oracle is left to notice, and it must do so in every case
+    ie, exact = suites.inclusion_exclusion_count, suites.exact_coprime_count
+    monkeypatch.setattr(suites, "inclusion_exclusion_count", lambda b, h: ie(b, h) + 1)
+    monkeypatch.setattr(suites, "exact_coprime_count", lambda b, h: exact(b, h) + 1)
+    result = run_suite("eq1", 2000)
+    assert (result.cases, result.failures) == (200, 200)
