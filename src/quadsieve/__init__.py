@@ -13,7 +13,6 @@ from .census import (
 )
 from .errors import BadFactorizationError, NoRootsError, QuadsieveError, RangeError
 from .modarith import (
-    PrimePower,
     U64_MAX,
     crt_combine,
     hensel_lift,

@@ -27,13 +27,16 @@ from . import oracle
 from .errors import RangeError
 from .modarith import U64_MAX, is_prime
 from .roots import all_roots
-from .sieve import BasisPrime, PrimeBasis, basis_from_primes, first_k_basis, term_value
+from .sieve import PrimeBasis, first_k_basis, term_value
 
 _MARK_CHUNK = 1 << 20
 
 # the direct count marks every index up to the horizon, about 2e9 a
 # second; census --k 7 (2.4e10) fits, --k 8 (6.1e12) would run for hours
 EXACT_COUNT_CAP = 10**11
+
+# every basis prime is >= 5 and 5**28 > 2**64: no larger basis has a 64-bit product
+MAX_BASIS_SIZE = 27
 
 
 @dataclass(frozen=True)
@@ -70,19 +73,11 @@ class SecondProofWitness:
     value_is_prime: bool
 
 
-def _as_basis(basis) -> PrimeBasis:
-    entries = tuple(basis)
-    if all(isinstance(b, BasisPrime) for b in entries):
-        return entries
-    return basis_from_primes(entries)
-
-
 def _product(primes) -> int:
-    n = 1
-    for p in primes:
-        n *= p
-        if n > U64_MAX:
-            raise RangeError(f"basis product exceeds the 64-bit range: {list(primes)}")
+    primes = list(primes)  # the refusal lists the whole basis
+    n = math.prod(primes)
+    if n > U64_MAX:
+        raise RangeError(f"basis product exceeds the 64-bit range: {primes}")
     return n
 
 
@@ -96,7 +91,7 @@ def _lex_subsets(k: int) -> list[tuple[int, ...]]:
 
 def product_formula(basis) -> int:
     """Product of (p - 2) over the basis primes, exact."""
-    entries = _as_basis(basis)
+    entries = tuple(basis)
     if not entries:
         raise ValueError("basis must be nonempty")
     value = 1
@@ -113,7 +108,7 @@ def inclusion_exclusion_count(basis, horizon: int) -> int:
     The sum is an exact identity, not an estimate; the direct count must
     always agree.
     """
-    return _ie_with_table(_as_basis(basis), horizon)[0]
+    return _ie_with_table(tuple(basis), horizon)[0]
 
 
 def _ie_with_table(entries: PrimeBasis, horizon: int) -> tuple[int, dict[int, int]]:
@@ -145,14 +140,13 @@ def exact_coprime_count(basis, horizon: int) -> int:
     bounded windows; no inclusion-exclusion involved.  Horizons above
     EXACT_COUNT_CAP raise RangeError instead of running for hours.
     """
-    entries = _as_basis(basis)
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     if horizon > EXACT_COUNT_CAP:
         raise RangeError(
             f"exact_coprime_count is capped at horizon {EXACT_COUNT_CAP}; got {horizon}"
         )
-    pairs = [(b.prime, b.least_root) for b in entries]
+    pairs = [(b.prime, b.least_root) for b in basis]
     count = 0
     for lo in range(1, horizon + 1, _MARK_CHUNK):
         hi = min(lo + _MARK_CHUNK, horizon + 1)
@@ -166,7 +160,7 @@ def exact_coprime_count(basis, horizon: int) -> int:
 
 def census(basis, horizon: int | None = None) -> CensusReport:
     """Full report for a basis: both counts, the product value, the nu table."""
-    entries = _as_basis(basis)
+    entries = tuple(basis)
     if not entries:
         raise ValueError("census needs a nonempty basis")
     n_product = _product(b.prime for b in entries)

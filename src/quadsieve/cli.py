@@ -23,8 +23,8 @@ import sys
 import time
 
 from . import oracle
-from .census import census
-from .errors import QuadsieveError
+from .census import MAX_BASIS_SIZE, census
+from .errors import QuadsieveError, RangeError
 from .roots import all_roots, root_summary
 from .sieve import (
     DEFAULT_SEGMENT_SIZE,
@@ -216,6 +216,8 @@ def cmd_census(args) -> int:
     if (args.k is None) == (args.primes is None):
         raise ValueError("give exactly one of --k or --primes")
     if args.k is not None:
+        if args.k > MAX_BASIS_SIZE:  # refused before the basis is sieved
+            raise RangeError(f"basis product exceeds the 64-bit range: {args.k} primes, each >= 5")
         basis = first_k_basis(args.k)
     else:
         basis = basis_from_primes(int(p) for p in args.primes.split(","))

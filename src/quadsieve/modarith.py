@@ -10,7 +10,6 @@ All functions are pure; the module holds no mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import BadFactorizationError, NoRootsError, RangeError
 
@@ -67,27 +66,6 @@ def is_prime(v: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimePower:
-    """p**e for a prime p in the residue class 1 mod 4."""
-
-    p: int
-    e: int
-    value: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.e < 1:
-            raise ValueError(f"exponent must be >= 1, got {self.e}")
-        if self.p % 4 != 1:
-            raise NoRootsError(f"prime {self.p} is not congruent to 1 mod 4")
-        if not is_prime(self.p):
-            raise BadFactorizationError(f"{self.p} is not prime")
-        value = self.p**self.e
-        if value > U64_MAX:
-            raise RangeError(f"{self.p}**{self.e} exceeds the 64-bit range")
-        object.__setattr__(self, "value", value)
-
-
 def sqrt_minus_one(p: int) -> int:
     """Least z with 4*z**2 + 1 = 0 (mod p), for prime p = 4k + 1.
 
@@ -114,17 +92,21 @@ def sqrt_minus_one(p: int) -> int:
     return r
 
 
-def hensel_lift(root: int, pp: PrimePower) -> int:
+def hensel_lift(root: int, p: int, e: int) -> int:
     """Lift a root of 4*z**2 + 1 mod p**(e-1) to the unique root mod p**e.
 
     The derivative 8*z is invertible mod p (p odd, z not divisible by p),
     so one Newton step lands exactly on the lift and preserves the residue
-    mod p**(e-1).
+    mod p**(e-1).  No primality test: the lift is checked by substitution,
+    which holds for any odd p, and the one caller has already tested p in
+    sqrt_minus_one.
     """
-    if pp.e < 2:
+    if e < 2:
         raise ValueError("target exponent must be >= 2; nothing to lift")
-    modulus = pp.value
-    prev = modulus // pp.p
+    modulus = p**e
+    if modulus > U64_MAX:
+        raise RangeError(f"{p}**{e} exceeds the 64-bit range")
+    prev = modulus // p
     if not (1 <= root < prev):
         raise ValueError(f"root {root} is not a residue mod {prev}")
     f = 4 * root * root + 1
@@ -133,7 +115,7 @@ def hensel_lift(root: int, pp: PrimePower) -> int:
     inv = pow(8 * root % modulus, -1, modulus)
     lifted = (root - f * inv) % modulus
     if (4 * lifted * lifted + 1) % modulus != 0 or lifted % prev != root:
-        raise AssertionError(f"lift failed for root={root}, pp={pp}")
+        raise AssertionError(f"lift failed for root={root} mod {p}**{e}")
     return lifted
 
 

@@ -104,10 +104,10 @@ def naive_root_scan(m: int) -> list[int]:
     return roots
 
 
-def naive_coprime_count(basis, horizon: int) -> int:
-    """Count n <= horizon with gcd(4*n**2 + 1, product of basis primes) = 1.
+def naive_coprime_count(primes, horizon: int) -> int:
+    """Count n <= horizon with gcd(4*n**2 + 1, product of the primes) = 1.
 
-    Tests every value 4*n**2 + 1 against every basis prime by division,
+    Tests every value 4*n**2 + 1 against every prime by division,
     with no roots and no progressions; capped at a desk-scale horizon (the
     values stay below 2**63), larger horizons use the exact count instead.
     """
@@ -119,7 +119,7 @@ def naive_coprime_count(basis, horizon: int) -> int:
     n = np.arange(1, horizon + 1, dtype=np.int64)
     values = 4 * n * n + 1
     coprime = np.ones(n.size, dtype=bool)
-    for p in (getattr(b, "prime", b) for b in basis):
+    for p in primes:
         if p <= 4 * horizon * horizon + 1:  # a larger prime divides no value
             coprime &= values % p != 0
     return int(np.count_nonzero(coprime))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from . import oracle
 from .errors import BadFactorizationError, NoRootsError
-from .modarith import PrimePower, hensel_lift, crt_combine, sqrt_minus_one
+from .modarith import crt_combine, hensel_lift, sqrt_minus_one
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ def _normalize_factorization(m: int, factorization) -> list[tuple[int, int]]:
 def _prime_power_roots(p: int, e: int) -> list[int]:
     z = sqrt_minus_one(p)  # the one primality and class test of p
     for k in range(2, e + 1):
-        z = hensel_lift(z, PrimePower(p, k))
+        z = hensel_lift(z, p, k)
     return sorted((z, p**e - z))
 
 
@@ -106,11 +106,7 @@ def all_roots(m: int, factorization=None) -> RootSet:
 
 def root_summary(m: int, factorization=None) -> RootSummary:
     """Least root r of m and the cofactor x = (4*r**2 + 1) / m, exact."""
-    rs = all_roots(m, factorization)
-    r = rs.least
-    value = 4 * r * r + 1
-    x, rem = divmod(value, m)
-    if rem != 0:
-        raise AssertionError(f"{m} does not divide 4*{r}**2+1")
-    return RootSummary(m=m, least_root=r, cofactor=x)
+    r = all_roots(m, factorization).least
+    # RootSummary refuses m*x != 4*r**2 + 1, so a floor quotient is checked
+    return RootSummary(m=m, least_root=r, cofactor=(4 * r * r + 1) // m)
 

@@ -129,14 +129,6 @@ class BasisPrime:
 
     prime: int
     least_root: int
-    first_index: int
-
-    def __post_init__(self) -> None:
-        if self.first_index != self.least_root:
-            raise AssertionError(
-                f"first appearance of {self.prime} at {self.first_index} "
-                f"differs from its least root {self.least_root}"
-            )
 
 
 PrimeBasis = tuple[BasisPrime, ...]
@@ -307,8 +299,13 @@ def first_k_basis(k: int) -> PrimeBasis:
         for seg in _segments(hi, DEFAULT_SEGMENT_SIZE, 1, start=lo):
             debut = seg.primes > 2 * seg.positions
             for p, n in zip(seg.primes[debut].tolist(), seg.positions[debut].tolist()):
-                # observed first index must equal the independently built root
-                found.append(BasisPrime(p, least_root=modarith.sqrt_minus_one(p), first_index=n))
+                # the observed debut must equal the independently built root
+                r = modarith.sqrt_minus_one(p)
+                if n != r:
+                    raise AssertionError(
+                        f"first appearance of {p} at {n} differs from its least root {r}"
+                    )
+                found.append(BasisPrime(p, r))
                 if len(found) == k:
                     return tuple(found)
         if hi >= MAX_INDEX:
@@ -323,9 +320,6 @@ def basis_from_primes(primes: Iterable[int]) -> PrimeBasis:
         raise ValueError("basis must contain at least one prime")
     if len(set(ps)) != len(ps):
         raise ValueError(f"basis primes must be distinct, got {ps}")
-    entries = []
-    for p in ps:
-        r = modarith.sqrt_minus_one(p)  # rejects p not prime or not 1 mod 4
-        entries.append(BasisPrime(p, least_root=r, first_index=r))
-    entries.sort(key=lambda b: (b.first_index, b.prime))
-    return tuple(entries)
+    # sqrt_minus_one rejects a p that is not prime or not 1 mod 4
+    entries = [BasisPrime(p, modarith.sqrt_minus_one(p)) for p in ps]
+    return tuple(sorted(entries, key=lambda b: (b.least_root, b.prime)))

@@ -213,7 +213,7 @@ def suite_eq1(limit: int) -> SuiteResult:
     for _ in range(_EQ1_CASES):
         res.cases += 1
         basis = rng.sample(pool, rng.randint(1, 4))
-        basis.sort(key=lambda b: b.first_index)
+        basis.sort(key=lambda b: b.least_root)
         horizon = rng.randint(1, horizon_cap)
         ie = inclusion_exclusion_count(basis, horizon)
         exact = exact_coprime_count(basis, horizon)

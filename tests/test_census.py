@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadsieve import (
+    U64_MAX,
     RangeError,
     basis_from_primes,
     census,
@@ -16,7 +17,7 @@ from quadsieve import (
     second_proof_witness,
     verify_main_identity,
 )
-from quadsieve.census import _MARK_CHUNK, EXACT_COUNT_CAP
+from quadsieve.census import _MARK_CHUNK, EXACT_COUNT_CAP, MAX_BASIS_SIZE
 
 from golden import MAIN_IDENTITY_VALUES
 
@@ -167,3 +168,9 @@ class TestCensusReport:
     def test_basis_ordering_by_first_index(self):
         report = census(basis_from_primes([13, 5]), horizon=65)
         assert [b.prime for b in report.basis] == [5, 13]
+
+    def test_max_basis_size_is_the_last_power_of_5_in_range(self):
+        # 5 is the least basis prime, so 5**k bounds every k-prime product
+        assert 5**MAX_BASIS_SIZE <= U64_MAX < 5 ** (MAX_BASIS_SIZE + 1)
+        with pytest.raises(RangeError, match="basis product exceeds the 64-bit range"):
+            census(first_k_basis(MAX_BASIS_SIZE), horizon=1)

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 import quadsieve._kernels as kernels
+import quadsieve.cli as cli
 import quadsieve.sieve as sieve
 from quadsieve import is_prime, oracle, primes_1mod4, sieve_range
 from quadsieve.cli import Emitter, main
 
-from golden import GOLDEN_30
+from golden import FIRST_BASIS_25_PRIMES, GOLDEN_30
 
 
 def run_cli(capsys, *argv):
@@ -249,6 +250,53 @@ class TestCensus:
         )
         assert out.returncode == 2 and out.stdout == ""
         assert out.stderr.startswith("error: exact_coprime_count is capped at horizon")
+
+    def test_k4_line(self, capsys):
+        code, out, _ = run_cli(capsys, "census", "--k", "4", "--format", "json-lines")
+        assert code == 0
+        assert out == (
+            '{"type": "census", "k": 4, "primes": [5, 17, 37, 13], "n_product": 40885, '
+            '"horizon": 40885, "ie_count": 17325, "exact_count": 17325, '
+            '"product_value": 17325, "counts_agree": true, "product_matches": true, '
+            '"nu_table": {"1": 0, "5": 1, "13": 1, "17": 1, "37": 1, "65": 2, "85": 2, '
+            '"185": 2, "221": 2, "481": 2, "629": 2, "1105": 3, "2405": 3, "3145": 3, '
+            '"8177": 3, "40885": 4}}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "selector",
+        [
+            ("--k", "11"),
+            ("--primes", "5,17,37,13,101,29,197,257,401,577,677,157,53,41,89,1297,1601,353"),
+        ],
+    )
+    def test_product_overflow_lists_the_whole_basis(self, capsys, selector):
+        code, out, err = run_cli(capsys, "census", *selector, "--horizon", "10")
+        assert code == 2 and out == ""
+        prefix = "error: basis product exceeds the 64-bit range: "
+        assert err.startswith(prefix)
+        listed = json.loads(err[len(prefix) :])
+        if selector[0] == "--k":
+            assert listed == FIRST_BASIS_25_PRIMES[:11]
+        else:
+            assert sorted(listed) == sorted(map(int, selector[1].split(",")))
+
+    @pytest.mark.parametrize("k", ["28", "1000000000"])
+    def test_oversized_k_is_refused_before_the_basis_is_built(self, capsys, monkeypatch, k):
+        def must_not_run(k):
+            raise AssertionError(f"first_k_basis({k}) was called")
+
+        monkeypatch.setattr(cli, "first_k_basis", must_not_run)
+        code, out, err = run_cli(capsys, "census", "--k", k)
+        assert code == 2 and out == ""
+        assert err == f"error: basis product exceeds the 64-bit range: {k} primes, each >= 5\n"
+
+    def test_debut_mismatch_exits_1(self, capsys, monkeypatch):
+        original = sieve.modarith.sqrt_minus_one
+        monkeypatch.setattr(sieve.modarith, "sqrt_minus_one", lambda p: original(p) + 1)
+        code, out, err = run_cli(capsys, "census", "--k", "3")
+        assert code == 1 and out == ""
+        assert err.startswith("error: internal invariant failed: first appearance of 5 at 1")
 
 
 class TestVerify:

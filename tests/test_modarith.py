@@ -7,8 +7,8 @@ import pytest
 from quadsieve import (
     BadFactorizationError,
     NoRootsError,
-    PrimePower,
     RangeError,
+    all_roots,
     crt_combine,
     generator_root,
     hensel_lift,
@@ -194,28 +194,28 @@ class TestSqrtMinusOne:
 class TestHensel:
     def test_lift_pairings_mod_25(self):
         # the lift preserves the residue class mod p
-        assert hensel_lift(4, PrimePower(5, 2)) == 9
-        assert hensel_lift(1, PrimePower(5, 2)) == 16
+        assert hensel_lift(4, 5, 2) == 9
+        assert hensel_lift(1, 5, 2) == 16
 
     def test_lift_mod_289(self):
-        assert hensel_lift(2, PrimePower(17, 2)) == 19  # 4*19*19+1 = 1445 = 5*289
-        assert hensel_lift(15, PrimePower(17, 2)) == 270
+        assert hensel_lift(2, 17, 2) == 19  # 4*19*19+1 = 1445 = 5*289
+        assert hensel_lift(15, 17, 2) == 270
 
     def test_chained_lifts_match_scan(self):
         for p in primes_1mod4(1000).tolist():
             z = sqrt_minus_one(p)
             e = 2
             while p**e <= 10**6:
-                z = hensel_lift(z, PrimePower(p, e))
+                z = hensel_lift(z, p, e)
                 pe = p**e
                 assert sorted((z, pe - z)) == naive_root_scan(pe), (p, e)
                 e += 1
 
     def test_precondition_rejected(self):
         with pytest.raises(ValueError):
-            hensel_lift(2, PrimePower(5, 2))  # 2 is not a root mod 5
+            hensel_lift(2, 5, 2)  # 2 is not a root mod 5
         with pytest.raises(ValueError):
-            hensel_lift(1, PrimePower(5, 1))  # nothing to lift
+            hensel_lift(1, 5, 1)  # nothing to lift
 
 
 class TestCrtCombine:
@@ -263,17 +263,24 @@ class TestCrtCombine:
 
 
 class TestPrimePower:
-    def test_value(self):
-        assert PrimePower(5, 2).value == 25
+    """Refusals on the prime-power path: hensel_lift itself and all_roots."""
 
     def test_rejects_wrong_class(self):
         with pytest.raises(NoRootsError):
-            PrimePower(7, 1)
+            all_roots(21)  # 3 * 7, both in class 3 mod 4
+        with pytest.raises(NoRootsError):
+            all_roots(7, [(7, 1)])
 
     def test_rejects_composite(self):
+        # the primality test of p runs once, in sqrt_minus_one
         with pytest.raises(BadFactorizationError):
-            PrimePower(65, 1)
+            all_roots(25, [(25, 1)])
+        with pytest.raises(BadFactorizationError):
+            all_roots(65**2, [(65, 2)])
 
     def test_rejects_overflow(self):
-        with pytest.raises(RangeError):
-            PrimePower(5, 30)
+        with pytest.raises(RangeError, match=r"^5\*\*30 exceeds the 64-bit range$"):
+            hensel_lift(1, 5, 30)
+        # the chained lifts stop at the first exponent past 2**64
+        with pytest.raises(RangeError, match=r"^5\*\*28 exceeds the 64-bit range$"):
+            all_roots(5**30, [(5, 30)])

@@ -71,15 +71,11 @@ class TestNaiveCoprimeCount:
         pool = list(first_k_basis(10))
         rng = random.Random(0xC0DE)
         for case in range(40):
-            basis = rng.sample(pool, rng.randint(0, 6))
+            primes = [b.prime for b in rng.sample(pool, rng.randint(0, 6))]
             if case % 3 == 0:
-                basis.append(_HUGE_PRIME)
-            # BasisPrime entries and plain ints both count by their prime
-            primes = [getattr(b, "prime", b) for b in basis]
-            if case % 2:
-                basis = primes
+                primes.append(_HUGE_PRIME)
             horizon = 0 if case == 0 else 20_000 if case == 1 else rng.randint(0, 20_000)
-            assert naive_coprime_count(basis, horizon) == _gcd_count(primes, horizon), (
+            assert naive_coprime_count(primes, horizon) == _gcd_count(primes, horizon), (
                 primes,
                 horizon,
             )

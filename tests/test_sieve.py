@@ -187,16 +187,20 @@ class TestEnumeratePrimes:
 class TestFirstKBasis:
     def test_first_eight(self):
         basis = first_k_basis(8)
-        assert [(b.prime, b.first_index) for b in basis] == FIRST_BASIS_8
+        assert [(b.prime, b.least_root) for b in basis] == FIRST_BASIS_8
 
     def test_k_three_four_six(self):
         assert [b.prime for b in first_k_basis(3)] == [5, 17, 37]
         assert [b.prime for b in first_k_basis(4)] == [5, 17, 37, 13]
         assert [b.prime for b in first_k_basis(6)] == [5, 17, 37, 13, 101, 29]
 
-    def test_first_index_equals_least_root(self):
-        for b in first_k_basis(20):
-            assert b.first_index == b.least_root
+    def test_debut_differing_from_least_root_is_refused(self, monkeypatch):
+        original = sieve.modarith.sqrt_minus_one
+        monkeypatch.setattr(sieve.modarith, "sqrt_minus_one", lambda p: original(p) + 1)
+        with pytest.raises(
+            AssertionError, match=r"^first appearance of 5 at 1 differs from its least root 2$"
+        ):
+            first_k_basis(3)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -204,11 +208,11 @@ class TestFirstKBasis:
 
     def test_matches_primes_ordered_by_least_root(self):
         # independent construction: every prime whose least root is at most
-        # R = the last first index lies below 4*R*R + 1; sort them by root
+        # R = the last least root lies below 4*R*R + 1; sort them by root
         basis = first_k_basis(60)
-        bound = basis[-1].first_index
+        bound = basis[-1].least_root
         by_root = sorted((generator_root(p), p) for p in primes_1mod4(4 * bound * bound + 1).tolist())
-        assert [(b.first_index, b.prime) for b in basis] == by_root[:60]
+        assert [(b.least_root, b.prime) for b in basis] == by_root[:60]
 
     def test_missing_debuts_sieve_the_next_window(self, monkeypatch):
         windows = []
