@@ -6,9 +6,9 @@ fixed, documented column order (--format csv); the default is a plain
 table for reading.  Exit codes: 0 success, 1 verification failure, oracle
 mismatch or internal invariant failure, 2 bad input or range error.
 
-`terms a..b` strikes only the window [a, b] and writes each term's line
-as its Term comes off the sieve, one segment at a time; the lines are
-byte-identical to what Emitter.write gives for the same records.
+`terms a..b` strikes only the window [a, b] and streams its lines: one
+renderer per format gives each Term the bytes Emitter.write would, and a
+single writelines call writes each line as its Term comes off the sieve.
 
 All limits are term indices n, never term values: `--limit 30` means the
 30 terms up to 4*30*30 + 1 = 3601.
@@ -21,6 +21,7 @@ import csv
 import json
 import sys
 import time
+from itertools import chain
 
 from . import oracle
 from .census import MAX_BASIS_SIZE, census
@@ -76,7 +77,7 @@ CSV_COLUMNS = {
 
 
 def _factors_str(factors) -> str:
-    return "*".join(f"{p}^{e}" if e > 1 else str(p) for p, e in factors)
+    return "*".join([f"{p}^{e}" if e > 1 else str(p) for p, e in factors])
 
 
 class Emitter:
@@ -120,12 +121,8 @@ class Emitter:
         elif rtype == "summary":
             self.out.write(f"count: {record['count']}\n")
         else:
-            parts = []
-            for key, value in record.items():
-                if key == "examples":
-                    continue
-                parts.append(f"{key}={self._csv_cell(key, value)}")
-            self.out.write("  ".join(str(p) for p in parts) + "\n")
+            parts = [f"{k}={self._csv_cell(k, v)}" for k, v in record.items() if k != "examples"]
+            self.out.write("  ".join(parts) + "\n")
             for ex in record.get("examples", []):
                 self.out.write(f"    counterexample: {ex}\n")
 
@@ -142,15 +139,31 @@ def _parse_range(args) -> tuple[int, int]:
     return lo, hi
 
 
-def _term_line(term: Term, fmt: str) -> str:
-    """One term record with the bytes Emitter.write gives it, but no dict or json.dumps."""
-    if fmt == "json-lines":
-        pairs = ", ".join([f"[{p}, {e}]" for p, e in term.factors])
-        return f'{{"type": "term", "n": {term.n}, "value": {term.value}, "factors": [{pairs}]}}\n'
-    if fmt == "csv":
-        return f"{term.n},{term.value},{_factors_str(term.factors)}\n"
+def _json_line(term: Term) -> str:
+    pairs = ", ".join([f"[{p}, {e}]" for p, e in term.factors])
+    return f'{{"type": "term", "n": {term.n}, "value": {term.value}, "factors": [{pairs}]}}\n'
+
+
+def _csv_line(term: Term) -> str:
+    return f"{term.n},{term.value},{_factors_str(term.factors)}\n"
+
+
+def _table_line(term: Term) -> str:
     tail = "prime" if term.is_prime_term else _factors_str(term.factors)
     return f"{term.n:>10}  {term.value:>14}  {tail}\n"
+
+
+# the bytes Emitter.write gives a term record, but no dict or json.dumps per term
+TERM_LINE = {"json-lines": _json_line, "csv": _csv_line, "table": _table_line}
+
+
+def _oracle_checked(terms, mismatch: list):
+    """Terms up to the first that trial division factors otherwise; that one goes to mismatch."""
+    for term in terms:
+        if list(term.factors) != (want := oracle.naive_factor(term.value)):
+            mismatch.append(f"n={term.n}: sieve said {term.factors}, trial division said {want}")
+            return
+        yield term
 
 
 def cmd_terms(args) -> int:
@@ -158,19 +171,18 @@ def cmd_terms(args) -> int:
     if not (1 <= lo <= hi):
         raise ValueError(f"need 1 <= from <= to, got {lo}..{hi}")
     out = sys.stdout
-    header = args.format == "csv"
-    for term in sieve_range(hi, args.segment_size, start=lo, workers=args.workers):
-        if args.oracle and list(term.factors) != (want := oracle.naive_factor(term.value)):
-            print(
-                f"oracle mismatch at n={term.n}: sieve said {term.factors}, "
-                f"trial division said {want}",
-                file=sys.stderr,
-            )
-            return 1
-        if header:  # only once the range has proved valid, as Emitter does
-            out.write(",".join(CSV_COLUMNS["term"]) + "\n")
-            header = False
-        out.write(_term_line(term, args.format))
+    terms = sieve_range(hi, args.segment_size, start=lo, workers=args.workers)
+    mismatch: list[str] = []
+    if args.oracle:
+        terms = _oracle_checked(terms, mismatch)
+    # the CSV header only once the range has proved valid, as Emitter does
+    if args.format == "csv" and (first := next(terms, None)) is not None:
+        out.write(",".join(CSV_COLUMNS["term"]) + "\n")
+        terms = chain((first,), terms)
+    out.writelines(map(TERM_LINE[args.format], terms))
+    if mismatch:
+        print(f"oracle mismatch at {mismatch[0]}", file=sys.stderr)
+        return 1
     return 0
 
 

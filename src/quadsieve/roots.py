@@ -31,8 +31,6 @@ class RootSet:
                 raise AssertionError(f"root {z} outside [1, {self.m - 1}]")
             if i and rs[i - 1] >= z:
                 raise AssertionError("roots must be strictly increasing")
-            if (4 * z * z + 1) % self.m != 0:
-                raise AssertionError(f"{z} is not a root mod {self.m}")
             # complements pair up in sorted order: z and m - z
             if z + rs[len(rs) - 1 - i] != self.m:
                 raise AssertionError(f"roots mod {self.m} not closed under z -> m-z")

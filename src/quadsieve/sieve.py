@@ -19,8 +19,8 @@ import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Iterator
+from itertools import chain, islice
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -45,9 +45,8 @@ def term_value(n: int) -> int:
     return 4 * n * n + 1
 
 
-@dataclass(frozen=True, slots=True)
-class Term:
-    """One index n with its value 4*n*n + 1 fully factored."""
+class Term(NamedTuple):
+    """One index n with its value 4*n*n + 1 fully factored; a plain tuple underneath."""
 
     n: int
     value: int
@@ -110,9 +109,10 @@ class SieveSegment:
             )
 
     def terms(self) -> Iterator[Term]:
+        new = tuple.__new__  # what Term(...) calls, without its argument binding
         factors = zip(self.primes.tolist(), self.exponents.tolist())  # sorted by position
         for n, k in enumerate(self._counts().tolist(), self.lo):
-            yield Term(n, term_value(n), tuple(islice(factors, k)))
+            yield new(Term, (n, 4 * n * n + 1, tuple(islice(factors, k))))
 
     def packed(self) -> bytes:
         """Canonical (n, prime, exponent) triple stream as little-endian int64."""
@@ -241,8 +241,8 @@ def sieve_range(
     Output is identical for every segment_size and worker count; those
     knobs trade memory against speed only.
     """
-    for seg in _segments(n_max, segment_size, workers, start=start):
-        yield from seg.terms()
+    segments = _segments(n_max, segment_size, workers, start=start)
+    return chain.from_iterable(seg.terms() for seg in segments)
 
 
 def _digest(segments: Iterable[SieveSegment]) -> str:

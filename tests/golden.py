@@ -57,3 +57,11 @@ DIGEST_1E6 = "6b595a0b573e08dc6e5ad615aaaf5e6f"
 
 # the same digest for n = 1 .. 10**7; a slow-marked test recomputes it
 DIGEST_1E7 = "02c426e7cac03d3a800d4c06636e48e1"
+
+# SHA-256 of the stdout of `terms 1..300000 --format F`, recorded before
+# the term path was rewritten; the json-lines one is perfbench's too
+TERMS_300K_SHA256 = {
+    "json-lines": "f0f6f482708e0a64952aeacc8f11624a04c2ac9b8c691b5e0ead9ef700f10c76",
+    "csv": "5fe565ca5b213b7d499deef7f8ba1aa421908f85af5e5e20e7d0e1952480a78c",
+    "table": "061b61f8a14eb03e1f805560453439e13907607ed75e56ac99ad34dc8a824fe0",
+}

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -13,7 +14,7 @@ import quadsieve.sieve as sieve
 from quadsieve import is_prime, oracle, primes_1mod4, sieve_range
 from quadsieve.cli import Emitter, main
 
-from golden import FIRST_BASIS_25_PRIMES, GOLDEN_30
+from golden import FIRST_BASIS_25_PRIMES, GOLDEN_30, TERMS_300K_SHA256
 
 
 def run_cli(capsys, *argv):
@@ -136,6 +137,12 @@ class TestTermsWindow:
             assert code == 1, argv
             assert err.startswith("error: internal invariant failed: ")
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt", sorted(TERMS_300K_SHA256))
+    def test_300k_bytes_are_pinned(self, capsys, fmt):
+        code, out, _ = run_cli(capsys, "terms", "1..300000", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == TERMS_300K_SHA256[fmt]
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json-lines"])
     def test_oracle_writes_the_same_bytes(self, capsys, fmt):
@@ -384,3 +391,18 @@ class TestEntryPoint:
         )
         assert out.returncode == 0
         assert out.stdout.splitlines()[1] == "1,5,5"
+
+    def test_closed_pipe_exits_0_without_stderr(self):
+        # `quadsieve terms 1..200000 --format json-lines | head -n 1`
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "quadsieve.cli", "terms", "1..200000", "--format", "json-lines"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0
+        assert first == '{"type": "term", "n": 1, "value": 5, "factors": [[5, 1]]}\n'
+        assert err == ""

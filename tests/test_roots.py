@@ -1,3 +1,5 @@
+import builtins
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,6 +34,27 @@ class TestAllRoots:
         for m in (5, 25, 65, 325, 1105, 4225):
             rs = all_roots(m)
             assert all(m - z in rs.roots for z in rs.roots)
+
+    @pytest.mark.parametrize(
+        "m, corrupt, message",
+        [
+            # prime: s = c**k with k = (p - 1)/4 in sqrt_minus_one
+            (13, lambda e, mod: 4 * e + 1 == mod, "root construction failed"),
+            # prime power: the inverse of 8*z in hensel_lift
+            (25, lambda e, mod: e == -1, "lift failed"),
+            # CRT: the inverse of m1 mod m2 in crt_combine
+            (65, lambda e, mod: e == -1, "combination"),
+        ],
+        ids=["prime", "prime-power", "crt"],
+    )
+    def test_corrupted_root_is_refused_on_each_route(self, monkeypatch, m, corrupt, message):
+        def off_by_one(base, e, mod):
+            r = builtins.pow(base, e, mod)
+            return (r + 1) % mod if corrupt(e, mod) else r
+
+        monkeypatch.setattr(modarith, "pow", off_by_one, raising=False)
+        with pytest.raises(AssertionError, match=message):
+            all_roots(m)
 
     def test_no_roots_for_class3_factor(self):
         with pytest.raises(NoRootsError):

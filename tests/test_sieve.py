@@ -132,6 +132,31 @@ class TestSieveRange:
             Term(4, 65, ((13, 1),)).verify()
 
 
+class TestTermContract:
+    def test_fields_and_is_prime_term(self):
+        t = Term(4, 65, ((5, 1), (13, 1)))
+        assert (t.n, t.value, t.factors) == (4, 65, ((5, 1), (13, 1)))
+        assert not t.is_prime_term
+        assert Term(1, 5, ((5, 1),)).is_prime_term
+        assert not Term(1, 25, ((5, 2),)).is_prime_term
+
+    def test_immutable_and_hashable(self):
+        t = Term(4, 65, ((5, 1), (13, 1)))
+        with pytest.raises(AttributeError):
+            t.n = 5
+        assert len({t, Term(4, 65, ((5, 1), (13, 1))), Term(1, 5, ((5, 1),))}) == 2
+
+    def test_repr_is_the_one_the_readme_shows(self):
+        assert repr(next(sieve_range(30))) == "Term(n=1, value=5, factors=((5, 1),))"
+
+    def test_equals_the_plain_tuple_of_its_fields(self):
+        (t,) = sieve_range(4, start=4)
+        assert type(t) is Term
+        assert t == (4, 65, ((5, 1), (13, 1))) and hash(t) == hash((4, 65, ((5, 1), (13, 1))))
+        n, value, factors = t
+        assert (n, value, factors) == (t.n, t.value, t.factors)
+
+
 class TestPlanCoverage:
     def test_plan_for_a_smaller_range_is_refused(self):
         n = 100_000
