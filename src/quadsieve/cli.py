@@ -200,26 +200,19 @@ def cmd_primes(args) -> int:
 
 def cmd_roots(args) -> int:
     emit = Emitter(args.format)
-    summary = root_summary(args.m)
-    record = {
-        "m": args.m,
-        "least_root": summary.least_root,
-        "cofactor": summary.cofactor,
-        "roots": [],
-    }
+    root_set = all_roots(args.m)  # built once, whatever the flags
+    summary = root_summary(root_set)
+    record = {"m": args.m, "least_root": summary.least_root, "cofactor": summary.cofactor}
     if args.all:
-        record["roots"] = list(all_roots(args.m).roots)
+        record["roots"] = list(root_set.roots)
     if args.oracle:
-        scanned = oracle.naive_root_scan(args.m)
-        built = record["roots"] or list(all_roots(args.m).roots)
+        built, scanned = list(root_set.roots), oracle.naive_root_scan(args.m)
         if built != scanned:
             print(
                 f"oracle mismatch for m={args.m}: built {built}, scan {scanned}",
                 file=sys.stderr,
             )
             return 1
-    if not args.all:
-        record.pop("roots")
     emit.write("roots", record)
     return 0
 

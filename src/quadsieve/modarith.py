@@ -10,6 +10,7 @@ All functions are pure; the module holds no mutable state.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 from .errors import BadFactorizationError, NoRootsError, RangeError
 
@@ -25,6 +26,9 @@ _MR_TIERS = (  # (psi_k, k); psi_7 = psi_8 and psi_9 = psi_10 = psi_11
     (2152302898747, 5), (3474749660383, 6), (341550071728321, 7),
     (3825123056546413051, 9),
 )
+_MR_BOUNDS = tuple(bound for bound, _ in _MR_TIERS)
+_MR_COUNTS = tuple(k for _, k in _MR_TIERS) + (len(_MR_WITNESSES),)
+_MR_PRODUCT = math.prod(_MR_WITNESSES)
 
 
 def _check_modulus(m: int) -> None:
@@ -42,17 +46,16 @@ def is_prime(v: int) -> bool:
         raise RangeError(f"{v} exceeds the 64-bit range")
     if v < 2:
         return False
-    for w in _MR_WITNESSES:
-        if v == w:
-            return True
-        if v % w == 0:
-            return False
-    d = v - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    k = next((k for bound, k in _MR_TIERS if v < bound), len(_MR_WITNESSES))
+    # one gcd stands in for twelve trial divisions: v shares a factor with
+    # the product of the witnesses exactly when a witness divides it
+    if math.gcd(v, _MR_PRODUCT) != 1:
+        return v in _MR_WITNESSES
+    # every prime factor of v is now >= 41, so below 41**2 v is itself prime
+    if v < 1681:
+        return True
+    s = ((v - 1) & (1 - v)).bit_length() - 1  # 2**s is the largest power of 2 in v - 1
+    d = (v - 1) >> s
+    k = _MR_COUNTS[bisect_right(_MR_BOUNDS, v)]  # the first tier whose bound exceeds v
     for w in _MR_WITNESSES[:k]:
         x = pow(w, d, v)
         if x == 1 or x == v - 1:
@@ -70,20 +73,29 @@ def sqrt_minus_one(p: int) -> int:
     """Least z with 4*z**2 + 1 = 0 (mod p), for prime p = 4k + 1.
 
     Construction: the smallest quadratic non-residue c has c**(2k) = -1,
-    so s = c**k squares to -1; z = s/2 mod p solves 4*z**2 + 1 = 0, and
-    folding it into [1, (p-1)/2] picks the lesser of the two roots z and
-    p - z.  Python ints keep every step exact across the 64-bit range;
-    _kernels.least_roots_bulk runs the same algorithm on int64 arrays.
+    so s = c**k squares to -1; one pow per candidate c both tests it and
+    yields s.  z = s/2 mod p solves 4*z**2 + 1 = 0, and folding it into
+    [1, (p-1)/2] picks the lesser of the two roots z and p - z.  Python
+    ints keep every step exact across the 64-bit range.
+    _kernels.least_roots_bulk finds the same non-residue on int64 arrays
+    but tests candidates by c**(2k) and computes c**k afterwards, so the
+    two routes compute differently and agree only in their results.
     """
     if p % 4 != 1:
         raise NoRootsError(f"{p} is not congruent to 1 mod 4; no root exists")
     if not is_prime(p):
         raise BadFactorizationError(f"{p} is not prime")
     k = (p - 1) // 4
-    c = 2
-    while pow(c, 2 * k, p) != p - 1:
+    c = 3 if p % 8 == 1 else 2  # here 2 is a residue exactly when p = 1 (mod 8)
+    while True:
+        # a prime's least non-residue c has c(c-1) < p; past that, p or pow lied
+        if c * (c - 1) >= p:
+            raise AssertionError(f"root construction failed for p={p}")
+        s = pow(c, k, p)
+        if s * s % p == p - 1:  # s**2 = c**(2k): Euler's criterion for c
+            break
         c += 1
-    r = pow(c, k, p) * ((p + 1) // 2) % p
+    r = s * ((p + 1) // 2) % p
     r = min(r, p - r)
     # a prime has exactly the two roots r and p - r, so a root in the lower
     # half is certified to be the least one

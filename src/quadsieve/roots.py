@@ -102,9 +102,14 @@ def all_roots(m: int, factorization=None) -> RootSet:
     return RootSet(m=m, roots=tuple(acc_roots), nu=len(pairs))
 
 
-def root_summary(m: int, factorization=None) -> RootSummary:
-    """Least root r of m and the cofactor x = (4*r**2 + 1) / m, exact."""
-    r = all_roots(m, factorization).least
+def root_summary(m: int | RootSet, factorization=None) -> RootSummary:
+    """Least root r of m and the cofactor x = (4*r**2 + 1) / m, exact.
+
+    m is a modulus, or a RootSet already built for one, which saves a
+    second factorization and CRT when the caller needs the roots too.
+    """
+    root_set = m if isinstance(m, RootSet) else all_roots(m, factorization)
+    m, r = root_set.m, root_set.least
     # RootSummary refuses m*x != 4*r**2 + 1, so a floor quotient is checked
     return RootSummary(m=m, least_root=r, cofactor=(4 * r * r + 1) // m)
 

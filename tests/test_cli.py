@@ -221,6 +221,24 @@ class TestRoots:
         code, _, _ = run_cli(capsys, "roots", "325", "--all", "--oracle", "--format", "json-lines")
         assert code == 0
 
+    @pytest.mark.parametrize("flags", [(), ("--all",), ("--oracle",), ("--all", "--oracle")])
+    def test_root_set_is_built_once(self, capsys, monkeypatch, flags):
+        # one factorization and one RootSet per call, whatever the flags
+        factored = []
+        original = oracle.naive_factor
+        monkeypatch.setattr(oracle, "naive_factor", lambda v: factored.append(v) or original(v))
+        code, out, _ = run_cli(capsys, "roots", "4225", *flags, "--format", "json-lines")
+        assert code == 0 and factored == [4225]
+        record = json.loads(out)
+        assert (record["least_root"], record["cofactor"]) == (134, 17)
+        assert record.get("roots", [134, 641, 3584, 4091]) == [134, 641, 3584, 4091]
+
+    def test_oracle_mismatch_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "naive_root_scan", lambda m: [1])
+        code, out, err = run_cli(capsys, "roots", "65", "--oracle")
+        assert (code, out) == (1, "")
+        assert err == "oracle mismatch for m=65: built [4, 9, 56, 61], scan [1]\n"
+
 
 class TestCensus:
     def test_k1(self, capsys):

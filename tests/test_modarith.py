@@ -1,3 +1,4 @@
+import builtins
 import math
 import random
 
@@ -18,6 +19,8 @@ from quadsieve import (
     primitive_root,
     sqrt_minus_one,
 )
+from quadsieve import modarith
+from quadsieve._kernels import least_roots_bulk
 from quadsieve.modarith import _MR_TIERS, _MR_WITNESSES
 from quadsieve.sieve import primes_1mod4
 
@@ -116,6 +119,37 @@ class TestIsPrime:
                 v += 2
             assert v < hi and is_prime(v), v
 
+    def test_witness_primes_and_their_products(self):
+        # the gcd with the witness product: a witness itself is prime, any
+        # other multiple of one is composite, however many it contains
+        for w in _MR_WITNESSES:
+            assert is_prime(w), w
+        for v in (6, 35, 1369, 7420738134810):
+            assert not is_prime(v), v
+        assert math.prod(_MR_WITNESSES) == 7420738134810
+
+    def test_cutoff_at_41_squared(self):
+        # below 41**2 a value coprime to every witness is prime; 41**2 and
+        # 41*43 are the first composites past the cutoff
+        assert not is_prime(1681) and not is_prime(1763)
+        assert is_prime(1669) and is_prime(1693)
+        product = math.prod(_MR_WITNESSES)
+        for v in range(38, 1900):
+            if math.gcd(v, product) == 1:
+                assert is_prime(v) == (naive_factor(v) == [(v, 1)]), v
+
+    def test_carmichael_numbers_are_composite(self):
+        for v in (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 321197185):
+            assert not is_prime(v), v
+
+    def test_many_factors_of_two_in_v_minus_1(self):
+        assert is_prime(65537)  # v - 1 = 2**16, so d = 1
+        assert not is_prime(2**32 + 1)  # 641 * 6700417, v - 1 = 2**32
+        assert is_prime(2**64 - 2**32 + 1)  # v - 1 = 2**32 * (2**32 - 1)
+        # k * 2**s + 1 with large s, against trial division
+        for v in (5 * 2**25 + 1, 7 * 2**26 + 1, 15 * 2**27 + 1, 3 * 2**30 + 1):
+            assert is_prime(v) == (naive_factor(v) == [(v, 1)]), v
+
     def test_large_primes(self):
         assert is_prime(2**61 - 1)
         assert is_prime(2**64 - 59)  # largest prime below 2**64
@@ -176,6 +210,31 @@ class TestSqrtMinusOne:
             primitive_root(p)
         r = sqrt_minus_one(p)
         assert (4 * r * r + 1) % p == 0 and 1 <= r <= (p - 1) // 2
+
+    def test_agrees_with_bulk_roots_on_the_1e6_plan(self):
+        # the scalar and int64 routes compute differently; first_k_basis
+        # compares one against the other, so they must agree on every prime
+        primes = primes_1mod4(2 * 10**6)
+        scalar = [sqrt_minus_one(p) for p in primes.tolist()]
+        assert scalar == least_roots_bulk(primes).tolist()
+
+    def test_search_is_bounded_when_no_non_residue_exists(self, monkeypatch):
+        # a composite passed off as prime: -1 is no square mod 21, so no
+        # candidate passes, and the search stops once c(c-1) >= p, after
+        # c = 2..5; the pow budget turns a missing bound into a failure
+        tried = []
+
+        def budgeted_pow(base, e, mod):
+            tried.append(base)
+            if len(tried) > 50:
+                raise RuntimeError("non-residue search ran past its bound")
+            return builtins.pow(base, e, mod)
+
+        monkeypatch.setattr(modarith, "is_prime", lambda v: True)
+        monkeypatch.setattr(modarith, "pow", budgeted_pow, raising=False)
+        with pytest.raises(AssertionError, match=r"^root construction failed for p=21$"):
+            sqrt_minus_one(21)
+        assert tried == [2, 3, 4, 5]
 
     def test_no_root_for_class_3_primes(self):
         with pytest.raises(NoRootsError):

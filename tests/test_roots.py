@@ -115,6 +115,11 @@ class TestRootSummary:
         s = root_summary(169, [(13, 2)])
         assert (s.least_root, s.cofactor) == (35, 29)
 
+    def test_summary_of_a_built_root_set(self):
+        # the same summary, and the same checks, from a RootSet built once
+        for m in (5, 169, 4225, 1105, 5 * 13 * 17 * 29 * 37):
+            assert root_summary(all_roots(m)) == root_summary(m), m
+
     def test_cofactor_identity_and_bounds_full_range(self):
         for m, factors in iter_pp(100_000):
             s = root_summary(m, factors)
