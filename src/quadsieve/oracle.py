@@ -17,9 +17,6 @@ NAIVE_COUNT_CAP = 10**6
 
 _SCAN_CHUNK = 1 << 21
 
-# cache of 4*z*z + 1 for z = 0, 1, 2, ... shared by repeated scans
-_sq4: np.ndarray = np.empty(0, dtype=np.int64)
-
 
 def naive_factor(v: int) -> list[tuple[int, int]]:
     """Factor an odd v >= 3 by trial division; exact, sorted by prime."""
@@ -75,14 +72,6 @@ def generator_root(p: int) -> int:
     return t // 2 if t % 2 == 0 else (p - t) // 2
 
 
-def _squares_upto(n: int) -> np.ndarray:
-    global _sq4
-    if _sq4.size < n:
-        z = np.arange(max(n, 2 * _sq4.size), dtype=np.int64)
-        _sq4 = 4 * z * z + 1
-    return _sq4
-
-
 def naive_root_scan(m: int) -> list[int]:
     """All z in [1, m-1] with 4*z**2 + 1 = 0 (mod m), by exhaustive scan.
 
@@ -93,9 +82,6 @@ def naive_root_scan(m: int) -> list[int]:
         raise ValueError(f"naive_root_scan expects odd m >= 3, got {m}")
     if 4 * m * m + 1 > 2**63 - 1:
         raise RangeError(f"scan values for m={m} would exceed int64")
-    if m <= _SCAN_CHUNK:
-        sq = _squares_upto(m)
-        return (np.flatnonzero(sq[1:m] % m == 0) + 1).tolist()
     roots = []
     for start in range(1, m, _SCAN_CHUNK):
         z = np.arange(start, min(start + _SCAN_CHUNK, m), dtype=np.int64)

@@ -258,6 +258,7 @@ class TestLemma2Witness:
     def test_examples(self):
         assert lemma2_witness(4)  # shares factor 5 with the first term
         assert lemma2_witness(3)  # coprime to predecessors and prime
+        assert lemma2_witness(9022)  # composite; first shared factor at n = 415, past one block
 
     def test_holds_to_2000(self):
         assert all(lemma2_witness(n) for n in range(2, 2001))

@@ -1,6 +1,7 @@
 import pytest
 
-from quadsieve import naive_factor, suites
+from quadsieve import modarith, naive_factor, naive_root_scan, oracle, suites
+from quadsieve.sieve import Term, term_value
 from quadsieve.suites import DEFAULT_LIMITS, SUITES, iter_pp, run_suite
 
 
@@ -61,3 +62,36 @@ def test_eq1_oracle_alone_catches_both_fast_paths_wrong(monkeypatch):
     monkeypatch.setattr(suites, "exact_coprime_count", lambda b, h: exact(b, h) + 1)
     result = run_suite("eq1", 2000)
     assert (result.cases, result.failures) == (200, 200)
+
+
+def test_lemma1_class3_moduli_have_empty_full_scans():
+    # the suite scans one class-3 prime per modulus; the full per-m scan
+    # over the same moduli finds no root either, and counts the same cases
+    class3 = [m for m in range(3, 3001, 2) if any(p % 4 == 3 for p, _ in naive_factor(m))]
+    assert all(naive_root_scan(m) == [] for m in class3)
+    assert len(class3) == run_suite("lemma1", 3000).cases - 3000
+
+
+def test_lemma1_fails_on_a_planted_root(monkeypatch):
+    monkeypatch.setattr(oracle, "naive_root_scan", lambda m: [1])
+    result = run_suite("lemma1", 200)
+    assert not result.ok
+    assert result.examples[0] == "m=3 has factor 3 in class 3 mod 4 yet roots [1]"
+
+
+def test_lemma1_counts_a_bad_term_once(monkeypatch):
+    monkeypatch.setattr(suites, "sieve_range", lambda limit: iter([Term(2, 17, ((3, 1),))]))
+    result = run_suite("lemma1", 2)
+    assert (result.cases, result.failures) == (1, 1)
+    assert result.examples == ["term 2: bad factor 3^1"]
+
+
+def test_lemma2_reports_prime_terms_when_is_prime_says_composite(monkeypatch):
+    # a prime value shares no factor with any smaller value, so a primality
+    # test that calls everything composite turns each prime term into a
+    # counterexample
+    monkeypatch.setattr(modarith, "is_prime", lambda v: False)
+    result = run_suite("lemma2", 200)
+    prime_n = [n for n in range(2, 201) if naive_factor(term_value(n)) == [(term_value(n), 1)]]
+    assert result.failures == len(prime_n) > 0
+    assert [e.split(":")[0] for e in result.examples] == [f"n={n}" for n in prime_n[:10]]
