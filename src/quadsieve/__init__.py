@@ -41,6 +41,6 @@ from .sieve import (
     term_value,
     terms_digest,
 )
-from .suites import SUITES, SuiteResult, divisor_positions, lemma2_witness, run_suite
+from .suites import SUITES, SuiteResult, lemma2_witness, run_suite
 
 __version__ = "0.1.0"

@@ -125,9 +125,6 @@ def strike_segment(lo: int, hi: int, primes: np.ndarray, roots: np.ndarray):
         bad = int(left[low[0]]) + lo
         raise AssertionError(f"index {bad} leaves {rest[low[0]]}, not a prime above {2 * bad}")
     es = np.concatenate([es, np.ones(left.size, dtype=np.int64)])
-    # every entry carries a positive exponent; a zero one means a kernel bug
-    if es.size and es.min() <= 0:
-        raise AssertionError("strike kernel marked an index its prime does not divide")
     # LSD radix order on the offset: numpy radix-sorts 16-bit keys when asked
     # for a stable sort, and each stable pass keeps ties in ascending prime
     # order; n <= MAX_INDEX < 2**32, so two 16-bit digits cover any segment

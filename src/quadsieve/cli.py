@@ -21,6 +21,7 @@ import csv
 import json
 import sys
 import time
+from dataclasses import asdict
 from itertools import chain
 
 from . import oracle
@@ -252,16 +253,7 @@ def cmd_verify(args) -> int:
     worst = 0
     for name in names:
         result = run_suite(name, args.limit)
-        emit.write(
-            "verify",
-            {
-                "suite": result.suite,
-                "limit": result.limit,
-                "cases": result.cases,
-                "failures": result.failures,
-                "examples": result.examples,
-            },
-        )
+        emit.write("verify", asdict(result))
         if not result.ok:
             worst = 1
     return worst

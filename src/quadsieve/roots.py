@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from . import oracle
 from .errors import BadFactorizationError, NoRootsError
-from .modarith import crt_combine, hensel_lift, sqrt_minus_one
+from .modarith import _check_modulus, crt_combine, hensel_lift, sqrt_minus_one
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,7 @@ class RootSummary:
 
 def _normalize_factorization(m: int, factorization) -> list[tuple[int, int]]:
     """Checked (p, e) pairs of m; primality is left to sqrt_minus_one."""
-    if m < 3 or m % 2 == 0:
-        raise NoRootsError(f"modulus must be odd and >= 3, got {m}")
+    _check_modulus(m)  # before any factoring: trial division of a huge m never ends
     if factorization is None:
         factorization = oracle.naive_factor(m)
     pairs = []

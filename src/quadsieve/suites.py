@@ -26,6 +26,8 @@ from .census import (
 from .errors import QuadsieveError
 from .roots import root_summary
 from .sieve import (
+    DEFAULT_SEGMENT_SIZE,
+    _segments,
     first_k_basis,
     primes_1mod4,
     sieve_range,
@@ -94,21 +96,6 @@ def iter_pp(limit: int):
             heapq.heappush(heap, (m * nxt, m, factors, j + 1, 1))
 
 
-def divisor_positions(p: int, n_max: int) -> list[int]:
-    """All n <= n_max whose value 4*n*n + 1 is divisible by the prime p.
-
-    These are exactly the two progressions +-root (mod p); no other index
-    is divisible, which the verification suites check against direct scans.
-    """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    check_index_range(n_max)
-    r = modarith.sqrt_minus_one(p)
-    a = np.arange(r, n_max + 1, p, dtype=np.int64)
-    b = np.arange(p - r, n_max + 1, p, dtype=np.int64)
-    return np.sort(np.concatenate([a, b])).tolist()
-
-
 def lemma2_witness(n: int) -> bool:
     """Check at index n that coprimality with all earlier terms implies primality.
 
@@ -165,17 +152,25 @@ def suite_lemma2(limit: int) -> SuiteResult:
 
 
 def suite_lemma3(limit: int) -> SuiteResult:
-    """Strike progressions are complete: divisor positions match a direct scan."""
+    """Strike progressions are complete: where the sieve's own segments put
+    each of the first 25 basis primes matches a direct divisibility scan."""
     res = SuiteResult("lemma3", limit)
+    basis = np.array([b.prime for b in first_k_basis(25)], dtype=np.int64)
+    pos, ps = [], []
+    for seg in _segments(limit, DEFAULT_SEGMENT_SIZE, 1):
+        keep = np.isin(seg.primes, basis)
+        pos.append(seg.positions[keep])
+        ps.append(seg.primes[keep])
+    pos, ps = np.concatenate(pos), np.concatenate(ps)
     idx = np.arange(1, limit + 1, dtype=np.int64)
     values = 4 * idx * idx + 1
-    for b in first_k_basis(25):
+    for p in basis.tolist():
         res.cases += 1
-        predicted = divisor_positions(b.prime, limit)
-        scanned = (np.flatnonzero(values % b.prime == 0) + 1).tolist()
-        if predicted != scanned:
-            diff = set(predicted) ^ set(scanned)
-            res.fail(f"p={b.prime}: progression positions differ from scan at {sorted(diff)[:5]}")
+        struck = pos[ps == p].tolist()  # ascending: segments come in index order
+        scanned = (np.flatnonzero(values % p == 0) + 1).tolist()
+        if struck != scanned:
+            diff = set(struck) ^ set(scanned)
+            res.fail(f"p={p}: struck positions differ from scan at {sorted(diff)[:5]}")
     return res
 
 
@@ -185,13 +180,9 @@ def suite_lemma4(limit: int) -> SuiteResult:
     for m, factors in iter_pp(limit):
         res.cases += 1
         try:
-            summary = root_summary(m, factors)  # bounds re-checked on build
+            root_summary(m, factors)  # RootSummary refuses a root outside the bounds
         except (QuadsieveError, AssertionError) as exc:
             res.fail(f"m={m}: {exc}")
-            continue
-        r, x = summary.least_root, summary.cofactor
-        if 4 * r * r + 1 < m or 2 * r > m - 1 or x > m - 2:
-            res.fail(f"m={m}: bounds fail for r={r}, x={x}")
     return res
 
 

@@ -96,7 +96,7 @@ def test_criterion_04_lemma3_strike_positions():
     report(
         4,
         ok and result.ok,
-        f"divisor positions match direct scans for first 25 basis primes to 1e5",
+        "sieve strike positions match direct scans for first 25 basis primes to 1e5",
         elapsed,
     )
     assert ok

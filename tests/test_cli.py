@@ -239,6 +239,13 @@ class TestRoots:
         assert (code, out) == (1, "")
         assert err == "oracle mismatch for m=65: built [4, 9, 56, 61], scan [1]\n"
 
+    def test_modulus_above_64_bits_is_refused_before_factoring(self, capsys, monkeypatch):
+        # 2**89 - 1 is prime: trial division up to its square root would not end
+        monkeypatch.setattr(oracle, "naive_factor", lambda v: pytest.fail(f"factored {v}"))
+        code, out, err = run_cli(capsys, "roots", str(2**89 - 1))
+        assert (code, out) == (2, "")
+        assert err == "error: modulus 618970019642690137449562111 exceeds the 64-bit range\n"
+
 
 class TestCensus:
     def test_k1(self, capsys):

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 
@@ -10,7 +11,6 @@ import quadsieve._kernels as kernels
 from quadsieve import (
     generator_root,
     is_prime,
-    naive_factor,
     sqrt_minus_one,
     term_value,
     terms_digest,
@@ -65,6 +65,8 @@ class TestStrikeSegment:
     @given(lo=st.integers(1, 200_000), width=st.integers(1, 3000))
     @settings(max_examples=10, deadline=None)
     def test_matches_trial_division(self, lo, width):
+        # by unique factorization, ascending primes with positive exponents
+        # that multiply to the value are what trial division would find
         hi = lo + width
         primes = primes_1mod4(2 * hi)
         roots = least_roots_bulk(primes)
@@ -74,7 +76,9 @@ class TestStrikeSegment:
             got.setdefault(n, []).append((p, e))
         assert list(got) == list(range(lo, hi))
         for n, factors in got.items():
-            assert factors == naive_factor(term_value(n)), n
+            assert [p for p, _ in factors] == sorted({p for p, _ in factors}), n
+            assert all(p % 4 == 1 and is_prime(p) and e >= 1 for p, e in factors), n
+            assert math.prod(p**e for p, e in factors) == term_value(n), n
 
     @given(
         lo=st.integers(1, 1_000_000),

@@ -340,6 +340,8 @@ class TestPrimePower:
     def test_rejects_overflow(self):
         with pytest.raises(RangeError, match=r"^5\*\*30 exceeds the 64-bit range$"):
             hensel_lift(1, 5, 30)
-        # the chained lifts stop at the first exponent past 2**64
-        with pytest.raises(RangeError, match=r"^5\*\*28 exceeds the 64-bit range$"):
+        # all_roots refuses the modulus itself, before any lift
+        with pytest.raises(
+            RangeError, match=r"^modulus 931322574615478515625 exceeds the 64-bit range$"
+        ):
             all_roots(5**30, [(5, 30)])

@@ -7,7 +7,6 @@ from quadsieve import (
     BadFactorizationError,
     RangeError,
     Term,
-    divisor_positions,
     enumerate_primes,
     first_k_basis,
     generator_root,
@@ -177,20 +176,6 @@ class TestPlanCoverage:
             primes = primes_1mod4(limit)
             expected = int(primes[-1]) if primes.size else None
             assert sieve._top_prime_1mod4(limit) == expected, limit
-
-
-class TestDivisorPositions:
-    def test_examples(self):
-        assert divisor_positions(5, 16) == [1, 4, 6, 9, 11, 14, 16]
-        assert divisor_positions(13, 30) == [4, 9, 17, 22, 30]
-        assert divisor_positions(29, 6) == [6]
-
-    def test_completeness_small_primes(self):
-        idx = np.arange(1, 10_001, dtype=np.int64)
-        values = 4 * idx * idx + 1
-        for p in primes_1mod4(100).tolist():
-            scan = (np.flatnonzero(values % p == 0) + 1).tolist()
-            assert divisor_positions(p, 10_000) == scan, p
 
 
 class TestEnumeratePrimes:

@@ -1,7 +1,8 @@
 import pytest
 
 from quadsieve import modarith, naive_factor, naive_root_scan, oracle, suites
-from quadsieve.sieve import Term, term_value
+from quadsieve.roots import RootSummary, all_roots
+from quadsieve.sieve import SieveSegment, Term, term_value
 from quadsieve.suites import DEFAULT_LIMITS, SUITES, iter_pp, run_suite
 
 
@@ -95,3 +96,48 @@ def test_lemma2_reports_prime_terms_when_is_prime_says_composite(monkeypatch):
     prime_n = [n for n in range(2, 201) if naive_factor(term_value(n)) == [(term_value(n), 1)]]
     assert result.failures == len(prime_n) > 0
     assert [e.split(":")[0] for e in result.examples] == [f"n={n}" for n in prime_n[:10]]
+
+
+_DROPPED = {  # entries a faulty sieve leaves out, and what lemma3 must report
+    # 13 divides 4*30**2 + 1 = 3601 = 13*277
+    "entry-30-13": (
+        lambda pos, ps: (pos == 30) & (ps == 13),
+        "p=13: struck positions differ from scan at [30]",
+    ),
+    "every-5": (
+        lambda pos, ps: ps == 5,
+        "p=5: struck positions differ from scan at [1, 4, 6, 9, 11]",
+    ),
+}
+
+
+@pytest.mark.parametrize("dropped", _DROPPED)
+def test_lemma3_reports_a_sieve_that_drops_a_basis_prime_entry(monkeypatch, dropped):
+    # the suite reads the sieve's own segments, so a fault in the strike shows
+    drop, example = _DROPPED[dropped]
+    original = suites._segments
+
+    def faulty(*args, **kwargs):
+        for seg in original(*args, **kwargs):
+            keep = ~drop(seg.positions, seg.primes)
+            yield SieveSegment(
+                seg.lo, seg.hi, seg.positions[keep], seg.primes[keep], seg.exponents[keep]
+            )
+
+    monkeypatch.setattr(suites, "_segments", faulty)
+    result = run_suite("lemma3", 1000)
+    assert (result.cases, result.failures) == (25, 1)
+    assert result.examples == [example]
+
+
+def test_lemma4_reports_a_root_outside_the_bounds(monkeypatch):
+    # the greatest root in place of the least breaks 2r <= m - 1; RootSummary
+    # refuses it, and the suite reports that as a failure instead of raising
+    def greatest_root(m, factors):
+        r = m - all_roots(m, factors).least
+        return RootSummary(m=m, least_root=r, cofactor=(4 * r * r + 1) // m)
+
+    monkeypatch.setattr(suites, "root_summary", greatest_root)
+    result = run_suite("lemma4", 100)
+    assert result.cases == result.failures == len(list(iter_pp(100)))
+    assert result.examples[0] == "m=5: least-root bounds violated for m=5, r=4, x=13"
