@@ -262,10 +262,9 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     chunk = _chunk(args.segment_size)
     start = time.perf_counter()
-    plan = _plan(args.limit)  # the sieve's own plan; its size enters peak_segment_bytes
-    digest = _digest(_segments(args.limit, args.segment_size, args.workers, plan=plan))
+    plan = _plan(args.limit)  # its size enters peak_segment_bytes
+    digest = _digest(_segments(plan, args.segment_size, args.workers))
     elapsed = time.perf_counter() - start
-    n_primes = int(plan[0].size)
     record = {
         "limit": args.limit,
         "segment_size": args.segment_size,
@@ -275,7 +274,7 @@ def cmd_bench(args) -> int:
         "seconds": round(elapsed, 4),
         "terms_per_second": int(args.limit / elapsed) if elapsed > 0 else 0,
         "digest": digest,
-        "peak_segment_bytes": chunk * 8 + chunk * 12 * 24 + n_primes * 16,
+        "peak_segment_bytes": chunk * 8 + chunk * 12 * 24 + plan.primes.size * 16,
     }
     Emitter(args.format).write("bench", record)
     return 0

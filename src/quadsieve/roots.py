@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from . import oracle
 from .errors import BadFactorizationError, NoRootsError
-from .modarith import _check_modulus, crt_combine, hensel_lift, sqrt_minus_one
+from .modarith import _check_modulus, crt_combine, hensel_lift, is_prime, sqrt_minus_one
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,8 @@ def _normalize_factorization(m: int, factorization) -> list[tuple[int, int]]:
     """Checked (p, e) pairs of m; primality is left to sqrt_minus_one."""
     _check_modulus(m)  # before any factoring: trial division of a huge m never ends
     if factorization is None:
-        factorization = oracle.naive_factor(m)
+        # a prime m skips trial division, which would run to sqrt(m)
+        factorization = [(m, 1)] if is_prime(m) else oracle.naive_factor(m)
     pairs = []
     check = 1
     for p, e in factorization:
@@ -87,7 +88,7 @@ def _prime_power_roots(p: int, e: int) -> list[int]:
 
 
 def all_roots(m: int, factorization=None) -> RootSet:
-    """Complete sorted root set of m; factorization defaults to trial division.
+    """Complete sorted root set of m; by default a composite m is trial-divided.
 
     The factorization is (p, e) pairs.  A prime in class 3 mod 4 is
     precisely the case with no roots at all, and raises NoRootsError.

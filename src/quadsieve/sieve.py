@@ -3,19 +3,21 @@
 A prime p divides the value at n exactly when n falls on one of the two
 progressions n = +-root (mod p), so factoring a whole index range means
 striking those progressions for every prime p < 2*hi and dividing out
-repeated powers; what is left at n is 1 or a prime above 2*n.  Striking
-goes segment by segment through the numpy kernels, but the plan holds
-every prime p <= 2*n_max and its root, so memory is O(n_max).  A window
-[start, n_max] still needs that whole plan, but it strikes only its own
-indices: the plan costs O(n_max), the strike O(n_max - start).  Worker
-threads overlap inside the kernels' array operations, which release the
-GIL.
+repeated powers; what is left at n is 1 or a prime above 2*n.  The plan,
+_plan(n_max), holds every prime p <= 2*n_max with its root and carries
+n_max itself, so the segments struck from it end at n_max and memory is
+O(n_max).  A window [start, n_max] still needs that whole plan, but it
+strikes only its own indices: the plan costs O(n_max), the strike
+O(n_max - start).  Striking goes segment by segment through the numpy
+kernels; worker threads, never more than the CPU count, overlap inside
+their array operations, which release the GIL.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -147,18 +149,21 @@ def primes_1mod4(limit: int) -> np.ndarray:
     return primes[primes % 4 == 1]
 
 
-def _plan(n_max: int):
+class Plan(NamedTuple):
+    """Every prime p = 1 (mod 4) up to 2*n_max with its least root: all the
+    sieve needs to factor indices 1 .. n_max, and only those."""
+
+    n_max: int
+    primes: np.ndarray
+    roots: np.ndarray
+
+
+def _plan(n_max: int) -> Plan:
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     check_index_range(n_max)
     primes = primes_1mod4(2 * n_max)
-    return primes, least_roots_bulk(primes)
-
-
-def _top_prime_1mod4(limit: int) -> int | None:
-    """Largest prime p = 1 (mod 4) with p <= limit; None when there is none."""
-    p = limit - (limit - 1) % 4
-    while p >= 5 and not modarith.is_prime(p):
-        p -= 4
-    return p if p >= 5 else None
+    return Plan(n_max, primes, least_roots_bulk(primes))
 
 
 def sieve_segment(
@@ -176,55 +181,33 @@ def sieve_segment(
 
 
 def _segments(
-    n_max: int,
-    segment_size: int,
-    workers: int,
-    *,
-    start: int = 1,
-    plan: tuple[np.ndarray, np.ndarray] | None = None,
+    plan: Plan, segment_size: int, workers: int, *, start: int = 1
 ) -> Iterator[SieveSegment]:
-    """Struck segments covering indices start .. n_max, in ascending order.
+    """Struck segments covering indices start .. plan.n_max, in ascending order.
 
-    plan, if given, must be _plan(n_max); the caller then already holds it.
-    A plan whose last prime is not the largest prime = 1 (mod 4) up to
-    2*n_max is refused: a short one would pass composite leftovers off as
-    primes.
+    Threads beyond the CPU count would only add segments in flight, each
+    holding offset arrays over the plan, so workers is capped there.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    n_max, primes, roots = plan
     if not (1 <= start <= n_max):
         raise ValueError(f"need 1 <= start <= n_max, got start={start}, n_max={n_max}")
-    check_index_range(n_max)
     if segment_size < 1:
         raise ValueError(f"segment_size must be >= 1, got {segment_size}")
     chunk = _chunk(segment_size)
-    if plan is None:
-        plan = _plan(n_max)
-    else:
-        top = _top_prime_1mod4(2 * n_max)
-        last = int(plan[0][-1]) if plan[0].size else None
-        if last != top:
-            raise ValueError(f"plan ends at prime {last}, but n_max={n_max} needs {top}")
-    primes, roots = plan
     bounds = [(lo, min(lo + chunk, n_max + 1)) for lo in range(start, n_max + 1, chunk)]
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         for lo, hi in bounds:
             yield sieve_segment(lo, hi, primes, roots)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending: deque = deque()
-        bound_iter = iter(bounds)
-        for _ in range(workers + 1):
-            nxt = next(bound_iter, None)
-            if nxt is None:
-                break
-            pending.append(pool.submit(sieve_segment, *nxt, primes, roots))
+        for lo, hi in bounds:
+            pending.append(pool.submit(sieve_segment, lo, hi, primes, roots))
+            if len(pending) > workers:
+                yield pending.popleft().result()
         while pending:
-            seg = pending.popleft().result()
-            nxt = next(bound_iter, None)
-            if nxt is not None:
-                pending.append(pool.submit(sieve_segment, *nxt, primes, roots))
-            yield seg
+            yield pending.popleft().result()
 
 
 def sieve_range(
@@ -241,7 +224,7 @@ def sieve_range(
     Output is identical for every segment_size and worker count; those
     knobs trade memory against speed only.
     """
-    segments = _segments(n_max, segment_size, workers, start=start)
+    segments = _segments(_plan(n_max), segment_size, workers, start=start)
     return chain.from_iterable(seg.terms() for seg in segments)
 
 
@@ -263,7 +246,7 @@ def terms_digest(
     Hashes the (n, prime, exponent) int64 triples in ascending order, so
     equal digests mean identical factorizations term for term.
     """
-    return _digest(_segments(n_max, segment_size, workers))
+    return _digest(_segments(_plan(n_max), segment_size, workers))
 
 
 def enumerate_primes(
@@ -274,7 +257,7 @@ def enumerate_primes(
 ) -> list[int]:
     """Indices n <= n_max whose value 4*n*n + 1 is prime."""
     out: list[int] = []
-    for seg in _segments(n_max, segment_size, workers):
+    for seg in _segments(_plan(n_max), segment_size, workers):
         n = seg.positions
         out.extend(n[seg.primes == 4 * n * n + 1].tolist())
     return out
@@ -296,7 +279,7 @@ def first_k_basis(k: int) -> PrimeBasis:
     found: list[BasisPrime] = []
     lo, hi = 1, min(k, MAX_INDEX)  # one debut per index at most: k need k indices
     while True:
-        for seg in _segments(hi, DEFAULT_SEGMENT_SIZE, 1, start=lo):
+        for seg in _segments(_plan(hi), DEFAULT_SEGMENT_SIZE, 1, start=lo):
             debut = seg.primes > 2 * seg.positions
             for p, n in zip(seg.primes[debut].tolist(), seg.positions[debut].tolist()):
                 # the observed debut must equal the independently built root

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -72,6 +73,38 @@ class TestTerms:
             )
             outs.add(out)
         assert len(outs) == 1
+
+    def test_one_cpu_strikes_on_the_main_thread(self, capsys, monkeypatch):
+        monkeypatch.setattr(sieve.os, "cpu_count", lambda: 1)
+        threads = set()
+        original = sieve.sieve_segment
+
+        def spy(*args):
+            threads.add(threading.get_ident())
+            return original(*args)
+
+        monkeypatch.setattr(sieve, "sieve_segment", spy)
+        code, out, _ = run_cli(capsys, "terms", "1..5000", "--workers", "4", "--segment-size", "512")
+        assert code == 0 and len(out.splitlines()) == 5000
+        assert threads == {threading.get_ident()}
+
+    def test_pool_is_never_wider_than_the_cpu_count(self, capsys, monkeypatch):
+        monkeypatch.setattr(sieve.os, "cpu_count", lambda: 2)
+        widths = []
+
+        class Pool(sieve.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(sieve, "ThreadPoolExecutor", Pool)
+        code, out, _ = run_cli(
+            capsys, "bench", "--limit", "20000", "--workers", "64", "--segment-size", "4096",
+            "--format", "json-lines",
+        )
+        rec = json.loads(out)
+        assert code == 0 and widths == [2]
+        assert (rec["workers"], rec["digest"]) == (64, "712740d2afcd3a5660eedc8e36fc92a1")
 
 
 class TestTermsWindow:
@@ -245,6 +278,24 @@ class TestRoots:
         code, out, err = run_cli(capsys, "roots", str(2**89 - 1))
         assert (code, out) == (2, "")
         assert err == "error: modulus 618970019642690137449562111 exceeds the 64-bit range\n"
+
+    def test_64_bit_prime_is_answered_without_trial_division(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "naive_factor", lambda v: pytest.fail(f"factored {v}"))
+        code, out, err = run_cli(capsys, "roots", str(2**64 - 59), "--format", "json-lines")
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"type": "roots", "m": 18446744073709551557, "least_root": 8075361104824483608, '
+            '"cofactor": 14140480664281996301}\n'
+        )
+
+    def test_64_bit_class_3_prime_is_refused_without_trial_division(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "naive_factor", lambda v: pytest.fail(f"factored {v}"))
+        code, out, err = run_cli(capsys, "roots", str(2**64 - 189))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: 18446744073709551427 has prime factor 18446744073709551427 "
+            "in class 3 mod 4; no roots exist\n"
+        )
 
 
 class TestCensus:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -74,7 +76,7 @@ class TestSieveRange:
         assert by_n[9].factors == ((5, 2), (13, 1))
 
     def test_factor_classes_and_products_to_1e5(self):
-        for seg in _segments(100_000, 65536, 1):
+        for seg in _segments(sieve._plan(100_000), 65536, 1):
             seg.check()  # every index present, products multiply back
             assert bool((seg.primes % 4 == 1).all())
 
@@ -157,25 +159,35 @@ class TestTermContract:
 
 
 class TestPlanCoverage:
-    def test_plan_for_a_smaller_range_is_refused(self):
-        n = 100_000
-        with pytest.raises(ValueError, match="plan"):
-            next(_segments(n, 65536, 1, plan=sieve._plan(n // 2)))
-
-    def test_plan_for_a_larger_range_is_refused(self):
-        with pytest.raises(ValueError, match="plan"):
-            next(_segments(1000, 65536, 1, plan=sieve._plan(2000)))
-
     def test_own_plan_is_accepted(self):
         for n in (1, 2, 3, 1000, 100_000):
-            segs = list(_segments(n, 65536, 1, plan=sieve._plan(n)))
+            segs = list(_segments(sieve._plan(n), 65536, 1))
             assert segs[-1].hi == n + 1
 
-    def test_top_prime_matches_the_plan(self):
-        for limit in range(2, 3000):
-            primes = primes_1mod4(limit)
-            expected = int(primes[-1]) if primes.size else None
-            assert sieve._top_prime_1mod4(limit) == expected, limit
+    def test_plan_refusals(self, monkeypatch):
+        with pytest.raises(ValueError, match=r"^n_max must be >= 1, got 0$"):
+            sieve._plan(0)
+        # the index ceiling is refused before the plan's arrays are allocated
+        monkeypatch.setattr(sieve, "primes_1mod4", lambda limit: pytest.fail(f"sieved to {limit}"))
+        with pytest.raises(RangeError):
+            sieve._plan(MAX_INDEX + 1)
+
+    def test_threads_keep_workers_plus_one_segments_in_flight(self, monkeypatch):
+        monkeypatch.setattr(sieve.os, "cpu_count", lambda: 2)
+        started = []
+        original = sieve.sieve_segment
+
+        def spy(lo, *args):
+            started.append(lo)
+            return original(lo, *args)
+
+        monkeypatch.setattr(sieve, "sieve_segment", spy)
+        it = _segments(sieve._plan(50_000), 4096, 2)
+        assert next(it).lo == 1
+        time.sleep(0.2)  # while the consumer waits, an unbounded pool.map starts all 13
+        assert len(started) <= 3
+        assert [seg.lo for seg in it] == list(range(4097, 50_001, 4096))
+        assert sorted(started) == list(range(1, 50_001, 4096))
 
 
 class TestEnumeratePrimes:
@@ -227,9 +239,9 @@ class TestFirstKBasis:
     def test_missing_debuts_sieve_the_next_window(self, monkeypatch):
         windows = []
 
-        def spy(n_max, *args, start=1, **kwargs):
-            windows.append((start, n_max))
-            return _segments(n_max, *args, start=start, **kwargs)
+        def spy(plan, *args, start=1, **kwargs):
+            windows.append((start, plan.n_max))
+            return _segments(plan, *args, start=start, **kwargs)
 
         monkeypatch.setattr(sieve, "_segments", spy)
         first_k_basis(200)
