@@ -31,6 +31,7 @@ from .roots import all_roots, root_summary
 from .sieve import (
     DEFAULT_SEGMENT_SIZE,
     Term,
+    _check_request,
     _chunk,
     _digest,
     _plan,
@@ -260,6 +261,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _check_request(args.limit, args.segment_size, args.workers)
     chunk = _chunk(args.segment_size)
     start = time.perf_counter()
     plan = _plan(args.limit)  # its size enters peak_segment_bytes

@@ -10,7 +10,8 @@ O(n_max).  A window [start, n_max] still needs that whole plan, but it
 strikes only its own indices: the plan costs O(n_max), the strike
 O(n_max - start).  Striking goes segment by segment through the numpy
 kernels; worker threads, never more than the CPU count, overlap inside
-their array operations, which release the GIL.
+their array operations, which release the GIL.  A digest is hashed on one
+more thread, a segment behind the strike.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import hashlib
 import math
 import os
 from collections import deque
+from concurrent import futures
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -36,6 +38,11 @@ DEFAULT_SEGMENT_SIZE = 65536
 # caller asks for; results are independent of chunking, and per-segment
 # setup would otherwise dominate at tiny sizes
 CHUNK_FLOOR = 4096
+
+# entries per packed block when hashing: 2048 triples are 48 KiB, far above
+# the 2 KiB from which blake2b releases the GIL, and packing a block never
+# copies a whole segment
+PACK_ROWS = 2048
 
 
 def _chunk(segment_size: int) -> int:
@@ -116,10 +123,12 @@ class SieveSegment:
         for n, k in enumerate(self._counts().tolist(), self.lo):
             yield new(Term, (n, 4 * n * n + 1, tuple(islice(factors, k))))
 
-    def packed(self) -> bytes:
-        """Canonical (n, prime, exponent) triple stream as little-endian int64."""
+    def packed(self, start: int = 0, stop: int | None = None) -> bytes:
+        """Canonical (n, prime, exponent) triple stream as little-endian int64,
+        for the entries start .. stop - 1; joined blocks give the whole stream."""
+        rows = slice(start, stop)
         return (
-            np.column_stack([self.positions, self.primes, self.exponents])
+            np.column_stack([self.positions[rows], self.primes[rows], self.exponents[rows]])
             .astype("<i8", copy=False)
             .tobytes()
         )
@@ -166,6 +175,16 @@ def _plan(n_max: int) -> Plan:
     return Plan(n_max, primes, least_roots_bulk(primes))
 
 
+def _check_request(n_max: int, segment_size: int, workers: int) -> None:
+    """Refuse bad sieve arguments before a plan is built for them; the
+    index ceiling is named first when a request breaks more than one rule."""
+    check_index_range(n_max)
+    if segment_size < 1:
+        raise ValueError(f"segment_size must be >= 1, got {segment_size}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
 def sieve_segment(
     lo: int,
     hi: int,
@@ -191,8 +210,7 @@ def _segments(
     n_max, primes, roots = plan
     if not (1 <= start <= n_max):
         raise ValueError(f"need 1 <= start <= n_max, got start={start}, n_max={n_max}")
-    if segment_size < 1:
-        raise ValueError(f"segment_size must be >= 1, got {segment_size}")
+    _check_request(n_max, segment_size, workers)
     chunk = _chunk(segment_size)
     bounds = [(lo, min(lo + chunk, n_max + 1)) for lo in range(start, n_max + 1, chunk)]
     workers = min(workers, os.cpu_count() or 1)
@@ -224,14 +242,35 @@ def sieve_range(
     Output is identical for every segment_size and worker count; those
     knobs trade memory against speed only.
     """
+    _check_request(n_max, segment_size, workers)
     segments = _segments(_plan(n_max), segment_size, workers, start=start)
     return chain.from_iterable(seg.terms() for seg in segments)
 
 
+def _hash_segment(h, seg: SieveSegment) -> None:
+    for i in range(0, seg.positions.size, PACK_ROWS):
+        h.update(seg.packed(i, i + PACK_ROWS))
+
+
 def _digest(segments: Iterable[SieveSegment]) -> str:
+    """blake2b of the segments' packed triples, in segment order.
+
+    One helper thread packs and hashes segment k, PACK_ROWS entries at a
+    time, while the caller's thread strikes segment k + 1.  Hash k - 1 has
+    finished before k is handed over, so at most one segment is being
+    hashed.
+    """
     h = hashlib.blake2b(digest_size=16)
-    for seg in segments:
-        h.update(seg.packed())
+    # not through the module's ThreadPoolExecutor name: that one is the
+    # strike pool, whose width tests watch by replacing it
+    with futures.ThreadPoolExecutor(max_workers=1) as hasher:
+        hashing = None
+        for seg in segments:
+            if hashing is not None:
+                hashing.result()
+            hashing = hasher.submit(_hash_segment, h, seg)
+        if hashing is not None:
+            hashing.result()
     return h.hexdigest()
 
 
@@ -246,6 +285,7 @@ def terms_digest(
     Hashes the (n, prime, exponent) int64 triples in ascending order, so
     equal digests mean identical factorizations term for term.
     """
+    _check_request(n_max, segment_size, workers)
     return _digest(_segments(_plan(n_max), segment_size, workers))
 
 
@@ -256,6 +296,7 @@ def enumerate_primes(
     workers: int = 1,
 ) -> list[int]:
     """Indices n <= n_max whose value 4*n*n + 1 is prime."""
+    _check_request(n_max, segment_size, workers)
     out: list[int] = []
     for seg in _segments(_plan(n_max), segment_size, workers):
         n = seg.positions

@@ -457,6 +457,51 @@ class TestBench:
         assert code == 1 and out == ""
         assert err.startswith("error: internal invariant failed: struck factors of index")
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_strike_failure_after_the_first_segment_ends_the_hasher(self, capsys, monkeypatch, workers):
+        original = sieve.strike_segment
+
+        def bad_root_after_first(lo, hi, primes, roots):
+            if lo > 1:  # the first segment is struck and handed to the hasher
+                roots = roots.copy()
+                roots[0] += 1  # 5's root 1 becomes 2, and 5 does not divide 17
+            return original(lo, hi, primes, roots)
+
+        monkeypatch.setattr(sieve, "strike_segment", bad_root_after_first)
+        before = threading.active_count()
+        code, out, err = run_cli(
+            capsys, "bench", "--limit", "20000", "--segment-size", "4096", "--workers", workers,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: internal invariant failed: strike kernel marked index")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert threading.active_count() == before
+
+
+class TestRefusedBeforeThePlan:
+    @pytest.mark.parametrize(
+        "argv", [["terms", "1..5"], ["terms", "1..10000000"], ["primes", "--limit", "10000000"],
+                 ["bench", "--limit", "10000000"]],
+    )
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--segment-size", "0", "segment_size must be >= 1, got 0"),
+         ("--workers", "0", "workers must be >= 1, got 0"),
+         ("--workers", "-2", "workers must be >= 1, got -2")],
+    )
+    def test_bad_segment_size_or_workers(self, capsys, monkeypatch, argv, flag, value, message):
+        monkeypatch.setattr(sieve, "primes_1mod4", lambda limit: pytest.fail(f"sieved to {limit}"))
+        code, out, err = run_cli(capsys, *argv, flag, value, "--format", "csv")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [["terms", "1..1518500250"], ["primes", "--limit", "1518500250"],
+                                      ["bench", "--limit", "1518500250"]])
+    def test_index_ceiling_is_named_first(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sieve, "primes_1mod4", lambda limit: pytest.fail(f"sieved to {limit}"))
+        code, out, err = run_cli(capsys, *argv, "--segment-size", "0", "--workers", "-2")
+        assert (code, out) == (2, "")
+        assert err == "error: index 1518500250 exceeds the int64 ceiling 1518500249\n"
+
 
 class TestEntryPoint:
     def test_console_script(self):

@@ -1,3 +1,5 @@
+import hashlib
+import threading
 import time
 
 import numpy as np
@@ -106,6 +108,15 @@ class TestSieveRange:
         window = list(sieve_range(hi, size, start=lo))
         assert window == [t for t in sieve_range(hi) if t.n >= lo]
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_bad_workers_or_segment_size_refused_before_the_plan(self, monkeypatch, workers):
+        monkeypatch.setattr(sieve, "primes_1mod4", lambda limit: pytest.fail(f"sieved to {limit}"))
+        for call in (sieve_range, sieve.terms_digest, enumerate_primes):
+            with pytest.raises(ValueError, match=rf"^workers must be >= 1, got {workers}$"):
+                call(10**7, workers=workers)
+        with pytest.raises(ValueError, match=r"^segment_size must be >= 1, got 0$"):
+            sieve.terms_digest(10**7, 0)
+
     def test_window_bounds_refused(self):
         for start, n_max in ((0, 10), (-3, 10), (11, 10)):
             with pytest.raises(ValueError):
@@ -188,6 +199,55 @@ class TestPlanCoverage:
         assert len(started) <= 3
         assert [seg.lo for seg in it] == list(range(4097, 50_001, 4096))
         assert sorted(started) == list(range(1, 50_001, 4096))
+
+
+class TestDigestPipeline:
+    def test_packed_blocks_join_to_the_whole_segment(self):
+        plan = sieve._plan(20_000)
+        seg = sieve.sieve_segment(1, 20_001, plan.primes, plan.roots)
+        entries = seg.positions.size
+        assert entries > 2 * sieve.PACK_ROWS and entries % sieve.PACK_ROWS
+        whole = seg.packed()
+        assert len(whole) == 24 * entries
+        for rows in (sieve.PACK_ROWS, 1000, 7):
+            assert b"".join(seg.packed(i, i + rows) for i in range(0, entries, rows)) == whole, rows
+        assert seg.packed(entries - 3) == whole[-72:] and seg.packed(5, 5) == b""
+
+    def test_one_helper_hashes_one_segment_behind_the_strike(self, monkeypatch):
+        plan = sieve._plan(50_000)
+        serial = b"".join(seg.packed() for seg in _segments(plan, 4096, 1))
+        want = hashlib.blake2b(serial, digest_size=16).hexdigest()
+        events = []
+        strike, packed = sieve.sieve_segment, sieve.SieveSegment.packed
+
+        def spy_strike(lo, *args):
+            events.append(("strike", lo))
+            return strike(lo, *args)
+
+        def spy_packed(seg, start=0, stop=None):
+            time.sleep(0.002)  # a hash slower than the strike: a strike run ahead would show
+            out = packed(seg, start, stop)
+            events.append(("hashed", seg.lo, len(out), threading.get_ident()))
+            return out
+
+        monkeypatch.setattr(sieve, "sieve_segment", spy_strike)
+        monkeypatch.setattr(sieve.SieveSegment, "packed", spy_packed)
+        assert sieve._digest(_segments(plan, 4096, 1)) == want
+        hashed = [e for e in events if e[0] == "hashed"]
+        threads = {e[3] for e in hashed}
+        assert len(threads) == 1 and threading.get_ident() not in threads
+        assert max(e[2] for e in hashed) == 24 * sieve.PACK_ROWS
+        assert sum(e[2] for e in hashed) == len(serial)
+        # segment k - 2 is wholly hashed before segment k is struck
+        lows = [e[1] for e in events if e[0] == "strike"]
+        assert lows == list(range(1, 50_001, 4096))
+        total = {lo: sum(e[2] for e in hashed if e[1] == lo) for lo in lows}
+        done = dict.fromkeys(lows, 0)
+        for e in events:
+            if e[0] == "hashed":
+                done[e[1]] += e[2]
+            elif (k := lows.index(e[1])) >= 2:
+                assert done[lows[k - 2]] == total[lows[k - 2]], e
 
 
 class TestEnumeratePrimes:
