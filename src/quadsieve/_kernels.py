@@ -5,9 +5,8 @@ over non-residue candidates, exponent bits and prime powers, each step
 one operation on every prime or hit at once, never a Python loop per
 prime.  The strike's hits come out prime by prime and are put back in
 position order by a stable LSD radix order on the 16-bit digits of the
-offset within the segment, not by a comparison sort.  numpy releases the
-GIL inside those operations, so segments striking on worker threads
-overlap.
+offset within the segment, not by a comparison sort.  The sieve strikes
+one segment at a time on the caller's thread.
 
 Everything is int64 inside the kernels, hence the hard index ceiling:
 4*n*n + 1 and the squares of candidate primes p <= 2*n must stay below

@@ -265,7 +265,7 @@ def cmd_bench(args) -> int:
     chunk = _chunk(args.segment_size)
     start = time.perf_counter()
     plan = _plan(args.limit)  # its size enters peak_segment_bytes
-    digest = _digest(_segments(plan, args.segment_size, args.workers))
+    digest = _digest(_segments(plan, args.segment_size))
     elapsed = time.perf_counter() - start
     record = {
         "limit": args.limit,
@@ -291,7 +291,12 @@ def _add_common(p, stream: bool = False) -> None:
     )
     if stream:
         p.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT_SIZE)
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument(
+            "--workers",
+            type=int,
+            default=1,
+            help="accepted for compatibility only; must be >= 1, and striking is serial",
+        )
         _add_engine(p)
 
 

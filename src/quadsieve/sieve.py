@@ -9,18 +9,15 @@ n_max itself, so the segments struck from it end at n_max and memory is
 O(n_max).  A window [start, n_max] still needs that whole plan, but it
 strikes only its own indices: the plan costs O(n_max), the strike
 O(n_max - start).  Striking goes segment by segment through the numpy
-kernels; worker threads, never more than the CPU count, overlap inside
-their array operations, which release the GIL.  A digest is hashed on one
-more thread, a segment behind the strike.
+kernels, always on the caller's thread; the workers argument is checked
+but strikes nothing in parallel.  A digest is hashed on one helper
+thread, a segment behind the strike.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import os
-from collections import deque
-from concurrent import futures
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -175,7 +172,7 @@ def _plan(n_max: int) -> Plan:
     return Plan(n_max, primes, least_roots_bulk(primes))
 
 
-def _check_request(n_max: int, segment_size: int, workers: int) -> None:
+def _check_request(n_max: int, segment_size: int, workers: int = 1) -> None:
     """Refuse bad sieve arguments before a plan is built for them; the
     index ceiling is named first when a request breaks more than one rule."""
     check_index_range(n_max)
@@ -199,33 +196,16 @@ def sieve_segment(
     return SieveSegment(lo, hi, *strike_segment(lo, hi, primes[:cut], roots[:cut]))
 
 
-def _segments(
-    plan: Plan, segment_size: int, workers: int, *, start: int = 1
-) -> Iterator[SieveSegment]:
-    """Struck segments covering indices start .. plan.n_max, in ascending order.
-
-    Threads beyond the CPU count would only add segments in flight, each
-    holding offset arrays over the plan, so workers is capped there.
-    """
+def _segments(plan: Plan, segment_size: int, *, start: int = 1) -> Iterator[SieveSegment]:
+    """Struck segments covering indices start .. plan.n_max, in ascending
+    order, each struck on the caller's thread as it is asked for."""
     n_max, primes, roots = plan
     if not (1 <= start <= n_max):
         raise ValueError(f"need 1 <= start <= n_max, got start={start}, n_max={n_max}")
-    _check_request(n_max, segment_size, workers)
+    _check_request(n_max, segment_size)
     chunk = _chunk(segment_size)
-    bounds = [(lo, min(lo + chunk, n_max + 1)) for lo in range(start, n_max + 1, chunk)]
-    workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1:
-        for lo, hi in bounds:
-            yield sieve_segment(lo, hi, primes, roots)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending: deque = deque()
-        for lo, hi in bounds:
-            pending.append(pool.submit(sieve_segment, lo, hi, primes, roots))
-            if len(pending) > workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+    for lo in range(start, n_max + 1, chunk):
+        yield sieve_segment(lo, min(lo + chunk, n_max + 1), primes, roots)
 
 
 def sieve_range(
@@ -239,11 +219,12 @@ def sieve_range(
 
     Only the window [start, n_max] is struck, though the plan still holds
     every prime p <= 2*n_max; start < 1 or start > n_max raises ValueError.
-    Output is identical for every segment_size and worker count; those
-    knobs trade memory against speed only.
+    Output is identical for every segment_size; it trades memory against
+    per-segment overhead only.  workers is checked (>= 1) and otherwise
+    ignored: every segment is struck on the caller's thread.
     """
     _check_request(n_max, segment_size, workers)
-    segments = _segments(_plan(n_max), segment_size, workers, start=start)
+    segments = _segments(_plan(n_max), segment_size, start=start)
     return chain.from_iterable(seg.terms() for seg in segments)
 
 
@@ -261,9 +242,7 @@ def _digest(segments: Iterable[SieveSegment]) -> str:
     hashed.
     """
     h = hashlib.blake2b(digest_size=16)
-    # not through the module's ThreadPoolExecutor name: that one is the
-    # strike pool, whose width tests watch by replacing it
-    with futures.ThreadPoolExecutor(max_workers=1) as hasher:
+    with ThreadPoolExecutor(max_workers=1) as hasher:
         hashing = None
         for seg in segments:
             if hashing is not None:
@@ -286,7 +265,7 @@ def terms_digest(
     equal digests mean identical factorizations term for term.
     """
     _check_request(n_max, segment_size, workers)
-    return _digest(_segments(_plan(n_max), segment_size, workers))
+    return _digest(_segments(_plan(n_max), segment_size))
 
 
 def enumerate_primes(
@@ -298,7 +277,7 @@ def enumerate_primes(
     """Indices n <= n_max whose value 4*n*n + 1 is prime."""
     _check_request(n_max, segment_size, workers)
     out: list[int] = []
-    for seg in _segments(_plan(n_max), segment_size, workers):
+    for seg in _segments(_plan(n_max), segment_size):
         n = seg.positions
         out.extend(n[seg.primes == 4 * n * n + 1].tolist())
     return out
@@ -320,7 +299,7 @@ def first_k_basis(k: int) -> PrimeBasis:
     found: list[BasisPrime] = []
     lo, hi = 1, min(k, MAX_INDEX)  # one debut per index at most: k need k indices
     while True:
-        for seg in _segments(_plan(hi), DEFAULT_SEGMENT_SIZE, 1, start=lo):
+        for seg in _segments(_plan(hi), DEFAULT_SEGMENT_SIZE, start=lo):
             debut = seg.primes > 2 * seg.positions
             for p, n in zip(seg.primes[debut].tolist(), seg.positions[debut].tolist()):
                 # the observed debut must equal the independently built root

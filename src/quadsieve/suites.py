@@ -158,7 +158,7 @@ def suite_lemma3(limit: int) -> SuiteResult:
     res = SuiteResult("lemma3", limit)
     basis = np.array([b.prime for b in first_k_basis(25)], dtype=np.int64)
     pos, ps = [], []
-    for seg in _segments(_plan(limit), DEFAULT_SEGMENT_SIZE, 1):
+    for seg in _segments(_plan(limit), DEFAULT_SEGMENT_SIZE):
         keep = np.isin(seg.primes, basis)
         pos.append(seg.positions[keep])
         ps.append(seg.primes[keep])

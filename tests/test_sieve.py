@@ -78,7 +78,7 @@ class TestSieveRange:
         assert by_n[9].factors == ((5, 2), (13, 1))
 
     def test_factor_classes_and_products_to_1e5(self):
-        for seg in _segments(sieve._plan(100_000), 65536, 1):
+        for seg in _segments(sieve._plan(100_000), 65536):
             seg.check()  # every index present, products multiply back
             assert bool((seg.primes % 4 == 1).all())
 
@@ -172,7 +172,7 @@ class TestTermContract:
 class TestPlanCoverage:
     def test_own_plan_is_accepted(self):
         for n in (1, 2, 3, 1000, 100_000):
-            segs = list(_segments(sieve._plan(n), 65536, 1))
+            segs = list(_segments(sieve._plan(n), 65536))
             assert segs[-1].hi == n + 1
 
     def test_plan_refusals(self, monkeypatch):
@@ -182,23 +182,6 @@ class TestPlanCoverage:
         monkeypatch.setattr(sieve, "primes_1mod4", lambda limit: pytest.fail(f"sieved to {limit}"))
         with pytest.raises(RangeError):
             sieve._plan(MAX_INDEX + 1)
-
-    def test_threads_keep_workers_plus_one_segments_in_flight(self, monkeypatch):
-        monkeypatch.setattr(sieve.os, "cpu_count", lambda: 2)
-        started = []
-        original = sieve.sieve_segment
-
-        def spy(lo, *args):
-            started.append(lo)
-            return original(lo, *args)
-
-        monkeypatch.setattr(sieve, "sieve_segment", spy)
-        it = _segments(sieve._plan(50_000), 4096, 2)
-        assert next(it).lo == 1
-        time.sleep(0.2)  # while the consumer waits, an unbounded pool.map starts all 13
-        assert len(started) <= 3
-        assert [seg.lo for seg in it] == list(range(4097, 50_001, 4096))
-        assert sorted(started) == list(range(1, 50_001, 4096))
 
 
 class TestDigestPipeline:
@@ -215,7 +198,7 @@ class TestDigestPipeline:
 
     def test_one_helper_hashes_one_segment_behind_the_strike(self, monkeypatch):
         plan = sieve._plan(50_000)
-        serial = b"".join(seg.packed() for seg in _segments(plan, 4096, 1))
+        serial = b"".join(seg.packed() for seg in _segments(plan, 4096))
         want = hashlib.blake2b(serial, digest_size=16).hexdigest()
         events = []
         strike, packed = sieve.sieve_segment, sieve.SieveSegment.packed
@@ -232,7 +215,7 @@ class TestDigestPipeline:
 
         monkeypatch.setattr(sieve, "sieve_segment", spy_strike)
         monkeypatch.setattr(sieve.SieveSegment, "packed", spy_packed)
-        assert sieve._digest(_segments(plan, 4096, 1)) == want
+        assert sieve._digest(_segments(plan, 4096)) == want
         hashed = [e for e in events if e[0] == "hashed"]
         threads = {e[3] for e in hashed}
         assert len(threads) == 1 and threading.get_ident() not in threads
