@@ -117,6 +117,28 @@ class TestSieveRange:
         with pytest.raises(ValueError, match=r"^segment_size must be >= 1, got 0$"):
             sieve.terms_digest(10**7, 0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [lambda n, **kw: list(sieve_range(n, 4096, **kw)),
+         lambda n, **kw: sieve.terms_digest(n, 4096, **kw),
+         lambda n, **kw: enumerate_primes(n, 4096, **kw)],
+        ids=["sieve_range", "terms_digest", "enumerate_primes"],
+    )
+    def test_workers_is_accepted_and_every_segment_strikes_on_the_caller(self, monkeypatch, call):
+        want = call(20_000)
+        threads = []
+        original = sieve.sieve_segment
+
+        def spy(*args):
+            threads.append(threading.get_ident())
+            return original(*args)
+
+        monkeypatch.setattr(sieve, "sieve_segment", spy)
+        for workers in (2, 64):
+            assert call(20_000, workers=workers) == want
+        assert len(threads) == 2 * 5  # five 4096-index segments per call
+        assert set(threads) == {threading.get_ident()}
+
     def test_window_bounds_refused(self):
         for start, n_max in ((0, 10), (-3, 10), (11, 10)):
             with pytest.raises(ValueError):
