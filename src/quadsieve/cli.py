@@ -7,7 +7,7 @@ table for reading.  Exit codes: 0 success, 1 verification failure, oracle
 mismatch or internal invariant failure, 2 bad input or range error.
 
 `terms a..b` strikes only the window [a, b] and streams its lines: one
-renderer per format gives each Term the bytes Emitter.write would, and a
+renderer per format (TERM_LINE) turns each Term into its line, and a
 single writelines call writes each line as its Term comes off the sieve.
 
 All limits are term indices n, never term values: `--limit 30` means the
@@ -31,8 +31,6 @@ from .roots import all_roots, root_summary
 from .sieve import (
     DEFAULT_SEGMENT_SIZE,
     Term,
-    _check_request,
-    _chunk,
     _digest,
     _plan,
     _segments,
@@ -91,8 +89,6 @@ class Emitter:
         self._csv_header_done: set[str] = set()
 
     def _csv_cell(self, key, value):
-        if key in ("factors",):
-            return _factors_str(value)
         if key in ("roots", "examples", "primes"):
             return " ".join(str(v) for v in value)
         if key == "nu_table":
@@ -114,11 +110,7 @@ class Emitter:
         self._write_table(rtype, record)
 
     def _write_table(self, rtype: str, record: dict) -> None:
-        if rtype == "term":
-            tail = "prime" if len(record["factors"]) == 1 and record["factors"][0][1] == 1 \
-                and record["factors"][0][0] == record["value"] else _factors_str(record["factors"])
-            self.out.write(f"{record['n']:>10}  {record['value']:>14}  {tail}\n")
-        elif rtype == "prime":
+        if rtype == "prime":
             self.out.write(f"{record['n']:>10}  {record['value']:>14}\n")
         elif rtype == "summary":
             self.out.write(f"count: {record['count']}\n")
@@ -155,7 +147,7 @@ def _table_line(term: Term) -> str:
     return f"{term.n:>10}  {term.value:>14}  {tail}\n"
 
 
-# the bytes Emitter.write gives a term record, but no dict or json.dumps per term
+# one line per term in each format, built without a dict or json.dumps per term
 TERM_LINE = {"json-lines": _json_line, "csv": _csv_line, "table": _table_line}
 
 
@@ -261,22 +253,20 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    _check_request(args.limit, args.segment_size, args.workers)
-    chunk = _chunk(args.segment_size)
     start = time.perf_counter()
-    plan = _plan(args.limit)  # its size enters peak_segment_bytes
-    digest = _digest(_segments(plan, args.segment_size))
+    plan = _plan(args.limit, args.segment_size, workers=args.workers)
+    digest = _digest(_segments(plan))
     elapsed = time.perf_counter() - start
     record = {
         "limit": args.limit,
         "segment_size": args.segment_size,
-        "chunk": chunk,
+        "chunk": plan.chunk,
         "workers": args.workers,
         "engine": "numpy",  # the only engine; the column stays for compatibility
         "seconds": round(elapsed, 4),
         "terms_per_second": int(args.limit / elapsed) if elapsed > 0 else 0,
         "digest": digest,
-        "peak_segment_bytes": chunk * 8 + chunk * 12 * 24 + plan.primes.size * 16,
+        "peak_segment_bytes": plan.chunk * 8 + plan.chunk * 12 * 24 + plan.primes.size * 16,
     }
     Emitter(args.format).write("bench", record)
     return 0

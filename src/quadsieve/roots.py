@@ -10,8 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import oracle
-from .errors import BadFactorizationError, NoRootsError
+from .errors import BadFactorizationError, NoRootsError, RangeError
 from .modarith import _check_modulus, crt_combine, hensel_lift, is_prime, sqrt_minus_one
+
+FACTOR_CAP = 10**16  # largest composite m trial-divided: 7.2 s near 10**16, minutes near 2**64
 
 
 @dataclass(frozen=True)
@@ -61,9 +63,12 @@ class RootSummary:
 def _normalize_factorization(m: int, factorization) -> list[tuple[int, int]]:
     """Checked (p, e) pairs of m; primality is left to sqrt_minus_one."""
     _check_modulus(m)  # before any factoring: trial division of a huge m never ends
-    if factorization is None:
-        # a prime m skips trial division, which would run to sqrt(m)
-        factorization = [(m, 1)] if is_prime(m) else oracle.naive_factor(m)
+    if factorization is None and is_prime(m):  # a prime m skips trial division
+        factorization = [(m, 1)]
+    elif factorization is None:
+        if m > FACTOR_CAP:  # refused before trial division, which would run to sqrt(m)
+            raise RangeError(f"composite modulus {m} exceeds the trial-division cap {FACTOR_CAP}")
+        factorization = oracle.naive_factor(m)
     pairs = []
     check = 1
     for p, e in factorization:
@@ -88,7 +93,7 @@ def _prime_power_roots(p: int, e: int) -> list[int]:
 
 
 def all_roots(m: int, factorization=None) -> RootSet:
-    """Complete sorted root set of m; by default a composite m is trial-divided.
+    """Complete sorted root set of m; by default a composite m <= FACTOR_CAP is trial-divided.
 
     The factorization is (p, e) pairs.  A prime in class 3 mod 4 is
     precisely the case with no roots at all, and raises NoRootsError.

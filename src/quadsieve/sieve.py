@@ -3,15 +3,16 @@
 A prime p divides the value at n exactly when n falls on one of the two
 progressions n = +-root (mod p), so factoring a whole index range means
 striking those progressions for every prime p < 2*hi and dividing out
-repeated powers; what is left at n is 1 or a prime above 2*n.  The plan,
-_plan(n_max), holds every prime p <= 2*n_max with its root and carries
-n_max itself, so the segments struck from it end at n_max and memory is
-O(n_max).  A window [start, n_max] still needs that whole plan, but it
-strikes only its own indices: the plan costs O(n_max), the strike
-O(n_max - start).  Striking goes segment by segment through the numpy
-kernels, always on the caller's thread; the workers argument is checked
-but strikes nothing in parallel.  A digest is hashed on one helper
-thread, a segment behind the strike.
+repeated powers; what is left at n is 1 or a prime above 2*n.  Every sieve
+run is one request, _plan(n_max, segment_size, start=..., workers=...): it
+refuses a bad request before any prime is sieved, and its Plan carries the
+window [start, n_max], the chunk struck per segment and every prime
+p <= 2*n_max with its root.  _segments(plan) strikes that window and checks
+nothing more.  The plan costs O(n_max), the strike O(n_max - start).
+Striking goes segment by segment through the numpy kernels, always on the
+caller's thread; the workers argument is checked but strikes nothing in
+parallel.  A digest is hashed on one helper thread, a segment behind the
+strike.
 """
 
 from __future__ import annotations
@@ -40,11 +41,6 @@ CHUNK_FLOOR = 4096
 # the 2 KiB from which blake2b releases the GIL, and packing a block never
 # copies a whole segment
 PACK_ROWS = 2048
-
-
-def _chunk(segment_size: int) -> int:
-    """Indices struck per segment for a requested segment_size."""
-    return max(segment_size, CHUNK_FLOOR)
 
 
 def term_value(n: int) -> int:
@@ -156,30 +152,38 @@ def primes_1mod4(limit: int) -> np.ndarray:
 
 
 class Plan(NamedTuple):
-    """Every prime p = 1 (mod 4) up to 2*n_max with its least root: all the
-    sieve needs to factor indices 1 .. n_max, and only those."""
+    """One checked sieve request: the window start .. n_max, the indices
+    struck per segment, and every prime p = 1 (mod 4) up to 2*n_max with
+    its least root, which is all the sieve needs to factor that window."""
 
     n_max: int
+    start: int
+    chunk: int
     primes: np.ndarray
     roots: np.ndarray
 
 
-def _plan(n_max: int) -> Plan:
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    check_index_range(n_max)
-    primes = primes_1mod4(2 * n_max)
-    return Plan(n_max, primes, least_roots_bulk(primes))
-
-
-def _check_request(n_max: int, segment_size: int, workers: int = 1) -> None:
-    """Refuse bad sieve arguments before a plan is built for them; the
-    index ceiling is named first when a request breaks more than one rule."""
+def _plan(
+    n_max: int,
+    segment_size: int = DEFAULT_SEGMENT_SIZE,
+    *,
+    start: int = 1,
+    workers: int = 1,
+) -> Plan:
+    """The one place a sieve request is refused, always before any prime is
+    sieved; the index ceiling is named first when a request breaks more
+    than one rule.  workers is checked (>= 1) and not kept."""
     check_index_range(n_max)
     if segment_size < 1:
         raise ValueError(f"segment_size must be >= 1, got {segment_size}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if not (1 <= start <= n_max):
+        raise ValueError(f"need 1 <= start <= n_max, got start={start}, n_max={n_max}")
+    primes = primes_1mod4(2 * n_max)
+    return Plan(n_max, start, max(segment_size, CHUNK_FLOOR), primes, least_roots_bulk(primes))
 
 
 def sieve_segment(
@@ -196,14 +200,10 @@ def sieve_segment(
     return SieveSegment(lo, hi, *strike_segment(lo, hi, primes[:cut], roots[:cut]))
 
 
-def _segments(plan: Plan, segment_size: int, *, start: int = 1) -> Iterator[SieveSegment]:
-    """Struck segments covering indices start .. plan.n_max, in ascending
-    order, each struck on the caller's thread as it is asked for."""
-    n_max, primes, roots = plan
-    if not (1 <= start <= n_max):
-        raise ValueError(f"need 1 <= start <= n_max, got start={start}, n_max={n_max}")
-    _check_request(n_max, segment_size)
-    chunk = _chunk(segment_size)
+def _segments(plan: Plan) -> Iterator[SieveSegment]:
+    """Struck segments covering indices plan.start .. plan.n_max, in
+    ascending order, each struck on the caller's thread as it is asked for."""
+    n_max, start, chunk, primes, roots = plan
     for lo in range(start, n_max + 1, chunk):
         yield sieve_segment(lo, min(lo + chunk, n_max + 1), primes, roots)
 
@@ -218,14 +218,14 @@ def sieve_range(
     """Stream fully factored terms for n = start .. n_max in ascending order.
 
     Only the window [start, n_max] is struck, though the plan still holds
-    every prime p <= 2*n_max; start < 1 or start > n_max raises ValueError.
+    every prime p <= 2*n_max; start < 1 or start > n_max raises ValueError
+    at the call, before any plan is built.
     Output is identical for every segment_size; it trades memory against
     per-segment overhead only.  workers is checked (>= 1) and otherwise
     ignored: every segment is struck on the caller's thread.
     """
-    _check_request(n_max, segment_size, workers)
-    segments = _segments(_plan(n_max), segment_size, start=start)
-    return chain.from_iterable(seg.terms() for seg in segments)
+    plan = _plan(n_max, segment_size, start=start, workers=workers)
+    return chain.from_iterable(seg.terms() for seg in _segments(plan))
 
 
 def _hash_segment(h, seg: SieveSegment) -> None:
@@ -264,8 +264,7 @@ def terms_digest(
     Hashes the (n, prime, exponent) int64 triples in ascending order, so
     equal digests mean identical factorizations term for term.
     """
-    _check_request(n_max, segment_size, workers)
-    return _digest(_segments(_plan(n_max), segment_size))
+    return _digest(_segments(_plan(n_max, segment_size, workers=workers)))
 
 
 def enumerate_primes(
@@ -275,9 +274,8 @@ def enumerate_primes(
     workers: int = 1,
 ) -> list[int]:
     """Indices n <= n_max whose value 4*n*n + 1 is prime."""
-    _check_request(n_max, segment_size, workers)
     out: list[int] = []
-    for seg in _segments(_plan(n_max), segment_size):
+    for seg in _segments(_plan(n_max, segment_size, workers=workers)):
         n = seg.positions
         out.extend(n[seg.primes == 4 * n * n + 1].tolist())
     return out
@@ -299,7 +297,7 @@ def first_k_basis(k: int) -> PrimeBasis:
     found: list[BasisPrime] = []
     lo, hi = 1, min(k, MAX_INDEX)  # one debut per index at most: k need k indices
     while True:
-        for seg in _segments(_plan(hi), DEFAULT_SEGMENT_SIZE, start=lo):
+        for seg in _segments(_plan(hi, start=lo)):
             debut = seg.primes > 2 * seg.positions
             for p, n in zip(seg.primes[debut].tolist(), seg.positions[debut].tolist()):
                 # the observed debut must equal the independently built root

@@ -26,7 +26,6 @@ from .census import (
 from .errors import QuadsieveError
 from .roots import root_summary
 from .sieve import (
-    DEFAULT_SEGMENT_SIZE,
     _plan,
     _segments,
     first_k_basis,
@@ -158,7 +157,7 @@ def suite_lemma3(limit: int) -> SuiteResult:
     res = SuiteResult("lemma3", limit)
     basis = np.array([b.prime for b in first_k_basis(25)], dtype=np.int64)
     pos, ps = [], []
-    for seg in _segments(_plan(limit), DEFAULT_SEGMENT_SIZE):
+    for seg in _segments(_plan(limit)):
         keep = np.isin(seg.primes, basis)
         pos.append(seg.positions[keep])
         ps.append(seg.primes[keep])

@@ -187,7 +187,7 @@ def test_digest_1e7_pinned_and_sampled():
                 checked.append(m)
             yield seg
 
-    ok = _digest(with_sample_checked(_segments(_plan(n), 65536))) == DIGEST_1E7
+    ok = _digest(with_sample_checked(_segments(_plan(n)))) == DIGEST_1E7
     ok = ok and checked == sample
     ok = ok and terms_digest(n, 262144, workers=2) == DIGEST_1E7
     elapsed = done()

@@ -14,7 +14,7 @@ import quadsieve._kernels as kernels
 import quadsieve.cli as cli
 import quadsieve.sieve as sieve
 from quadsieve import is_prime, oracle, primes_1mod4, sieve_range
-from quadsieve.cli import Emitter, main
+from quadsieve.cli import main
 
 from golden import FIRST_BASIS_25_PRIMES, GOLDEN_30, TERMS_300K_SHA256
 
@@ -97,15 +97,30 @@ class TestTermsWindow:
         [(1, 3000, ()), (99_001, 100_000, ()), (99_001, 100_000, ("--workers", "2", "--segment-size", "128"))],
     )
     @pytest.mark.parametrize("fmt", ["table", "csv", "json-lines"])
-    def test_renderer_matches_emitter(self, capsys, lo, hi, extra, fmt):
+    def test_renderer_matches_reference(self, capsys, lo, hi, extra, fmt):
         code, out, _ = run_cli(capsys, "terms", f"{lo}..{hi}", "--format", fmt, *extra)
         assert code == 0
+        # the reference renders each record the slow, general way
         expected = io.StringIO()
-        emit = Emitter(fmt, out=expected)
+        rows = csv.writer(expected, lineterminator="\n")
+        if fmt == "csv":
+            rows.writerow(["n", "value", "factors"])
         for t in sieve_range(hi):
-            if t.n >= lo:
-                emit.write("term", {"n": t.n, "value": t.value, "factors": [list(f) for f in t.factors]})
-        assert out == expected.getvalue()
+            if t.n < lo:
+                continue
+            shown = "*".join(f"{p}^{e}" if e > 1 else str(p) for p, e in t.factors)
+            if fmt == "json-lines":
+                record = {"type": "term", "n": t.n, "value": t.value, "factors": [list(f) for f in t.factors]}
+                expected.write(json.dumps(record) + "\n")
+            elif fmt == "csv":
+                rows.writerow([t.n, t.value, shown])
+            else:
+                tail = "prime" if t.factors == ((t.value, 1),) else shown
+                expected.write(f"{t.n:>10}  {t.value:>14}  {tail}\n")
+        want = expected.getvalue()
+        # hashes, not the strings: pytest's diff of two long outputs takes minutes
+        first = next((pair for pair in zip(out.splitlines(), want.splitlines()) if pair[0] != pair[1]), None)
+        assert hashlib.sha256(out.encode()).digest() == hashlib.sha256(want.encode()).digest(), first
 
     @pytest.mark.parametrize("extra", [(), ("--workers", "2", "--segment-size", "100")])
     def test_never_strikes_below_window(self, capsys, monkeypatch, extra):
@@ -279,6 +294,28 @@ class TestRoots:
         assert err == (
             "error: 18446744073709551427 has prime factor 18446744073709551427 "
             "in class 3 mod 4; no roots exist\n"
+        )
+
+    def test_composite_above_the_factor_cap_is_refused_before_trial_division(self, capsys, monkeypatch):
+        # 100000037 * 100001053: trial division would take about 7 s
+        m = 10000109000038961
+        original = oracle.naive_factor
+        monkeypatch.setattr(
+            oracle, "naive_factor", lambda v: pytest.fail(f"factored {v}") if v == m else original(v)
+        )
+        code, out, err = run_cli(capsys, "roots", str(m))
+        assert (code, out) == (2, "")
+        assert err == f"error: composite modulus {m} exceeds the trial-division cap 10000000000000000\n"
+
+    def test_smooth_composite_below_the_factor_cap_is_answered(self, capsys, monkeypatch):
+        factored = []
+        original = oracle.naive_factor
+        monkeypatch.setattr(oracle, "naive_factor", lambda v: factored.append(v) or original(v))
+        code, out, err = run_cli(capsys, "roots", str(5**22), "--format", "json-lines")
+        assert (code, err, factored) == (0, "", [5**22])
+        assert out == (
+            '{"type": "roots", "m": 2384185791015625, "least_root": 1136602234515091, '
+            '"cofactor": 2167389209973245}\n'
         )
 
 

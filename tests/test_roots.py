@@ -14,7 +14,7 @@ from quadsieve import (
     root_summary,
     term_value,
 )
-from quadsieve import modarith
+from quadsieve import modarith, roots
 from quadsieve.suites import iter_pp, run_suite
 
 
@@ -80,6 +80,15 @@ class TestAllRoots:
         p = U64_MAX + 14  # = 1 mod 4, beyond the primality test's range
         with pytest.raises(RangeError):
             all_roots(p, [(p, 1)])
+
+    def test_factor_cap_binds_only_trial_division(self):
+        m = 5**24
+        assert m > roots.FACTOR_CAP
+        with pytest.raises(RangeError, match=r"^composite modulus 59604644775390625 exceeds"):
+            all_roots(m)
+        given_factors = all_roots(m, [(5, 24)])
+        assert given_factors.roots == (given_factors.least, m - given_factors.least)
+        assert root_summary(m, [(5, 24)]).least_root == given_factors.least
 
     def test_one_primality_test_per_prime_and_lift(self, monkeypatch):
         calls = []

@@ -78,7 +78,7 @@ class TestSieveRange:
         assert by_n[9].factors == ((5, 2), (13, 1))
 
     def test_factor_classes_and_products_to_1e5(self):
-        for seg in _segments(sieve._plan(100_000), 65536):
+        for seg in _segments(sieve._plan(100_000)):
             seg.check()  # every index present, products multiply back
             assert bool((seg.primes % 4 == 1).all())
 
@@ -108,14 +108,30 @@ class TestSieveRange:
         window = list(sieve_range(hi, size, start=lo))
         assert window == [t for t in sieve_range(hi) if t.n >= lo]
 
-    @pytest.mark.parametrize("workers", [0, -2])
-    def test_bad_workers_or_segment_size_refused_before_the_plan(self, monkeypatch, workers):
+    # (n_max, segment_size, workers, start): each request also breaks every
+    # rule checked after the one it must be refused for
+    @pytest.mark.parametrize(
+        "request_, error, message",
+        [
+            ((MAX_INDEX + 1, 0, 0, 0), RangeError, rf"^index {MAX_INDEX + 1} exceeds the int64 ceiling"),
+            ((0, 0, 0, 0), ValueError, r"^segment_size must be >= 1, got 0$"),
+            ((0, 1, 0, 0), ValueError, r"^workers must be >= 1, got 0$"),
+            ((0, 1, -2, 0), ValueError, r"^workers must be >= 1, got -2$"),
+            ((0, 1, 1, 0), ValueError, r"^n_max must be >= 1, got 0$"),
+            ((10**7, 1, 1, 0), ValueError, r"^need 1 <= start <= n_max, got start=0, n_max=10000000$"),
+            ((10, 1, 1, 11), ValueError, r"^need 1 <= start <= n_max, got start=11, n_max=10$"),
+        ],
+        ids=["ceiling", "segment_size", "workers-0", "workers-minus-2", "n_max", "start-0", "start-past-n_max"],
+    )
+    def test_bad_request_refused_in_order_before_the_plan(self, monkeypatch, request_, error, message):
+        n_max, size, workers, start = request_
         monkeypatch.setattr(sieve, "primes_1mod4", lambda limit: pytest.fail(f"sieved to {limit}"))
-        for call in (sieve_range, sieve.terms_digest, enumerate_primes):
-            with pytest.raises(ValueError, match=rf"^workers must be >= 1, got {workers}$"):
-                call(10**7, workers=workers)
-        with pytest.raises(ValueError, match=r"^segment_size must be >= 1, got 0$"):
-            sieve.terms_digest(10**7, 0)
+        calls = [lambda: sieve_range(n_max, size, start=start, workers=workers)]
+        if "start" not in message:  # terms_digest and enumerate_primes take no start
+            calls += [lambda f=f: f(n_max, size, workers=workers) for f in (sieve.terms_digest, enumerate_primes)]
+        for call in calls:
+            with pytest.raises(error, match=message):
+                call()
 
     @pytest.mark.parametrize(
         "call",
@@ -194,7 +210,7 @@ class TestTermContract:
 class TestPlanCoverage:
     def test_own_plan_is_accepted(self):
         for n in (1, 2, 3, 1000, 100_000):
-            segs = list(_segments(sieve._plan(n), 65536))
+            segs = list(_segments(sieve._plan(n)))
             assert segs[-1].hi == n + 1
 
     def test_plan_refusals(self, monkeypatch):
@@ -219,8 +235,8 @@ class TestDigestPipeline:
         assert seg.packed(entries - 3) == whole[-72:] and seg.packed(5, 5) == b""
 
     def test_one_helper_hashes_one_segment_behind_the_strike(self, monkeypatch):
-        plan = sieve._plan(50_000)
-        serial = b"".join(seg.packed() for seg in _segments(plan, 4096))
+        plan = sieve._plan(50_000, 4096)
+        serial = b"".join(seg.packed() for seg in _segments(plan))
         want = hashlib.blake2b(serial, digest_size=16).hexdigest()
         events = []
         strike, packed = sieve.sieve_segment, sieve.SieveSegment.packed
@@ -237,7 +253,7 @@ class TestDigestPipeline:
 
         monkeypatch.setattr(sieve, "sieve_segment", spy_strike)
         monkeypatch.setattr(sieve.SieveSegment, "packed", spy_packed)
-        assert sieve._digest(_segments(plan, 4096)) == want
+        assert sieve._digest(_segments(plan)) == want
         hashed = [e for e in events if e[0] == "hashed"]
         threads = {e[3] for e in hashed}
         assert len(threads) == 1 and threading.get_ident() not in threads
@@ -304,9 +320,9 @@ class TestFirstKBasis:
     def test_missing_debuts_sieve_the_next_window(self, monkeypatch):
         windows = []
 
-        def spy(plan, *args, start=1, **kwargs):
-            windows.append((start, plan.n_max))
-            return _segments(plan, *args, start=start, **kwargs)
+        def spy(plan):
+            windows.append((plan.start, plan.n_max))
+            return _segments(plan)
 
         monkeypatch.setattr(sieve, "_segments", spy)
         first_k_basis(200)
