@@ -1,16 +1,14 @@
 """Hot inner loops behind the sieve: whole-array numpy passes.
 
-The bulk least-root computation and the per-segment strike loop only
-over non-residue candidates, exponent bits and prime powers, each step
-one operation on every prime or hit at once, never a Python loop per
-prime.  The strike's hits come out prime by prime and are put back in
-position order by a stable LSD radix order on the 16-bit digits of the
-offset within the segment, not by a comparison sort.  The sieve strikes
-one segment at a time on the caller's thread.
+The bulk least-root computation and the per-segment strike loop only over
+non-residue candidates, exponent bits and prime powers, each step one
+operation on every prime or hit at once, never a Python loop per prime.  The
+strike expands its progressions with one running sum and puts the hits in
+(position, prime) order with one sort of packed int64 keys.  The sieve
+strikes one segment at a time on the caller's thread.
 
 Everything is int64 inside the kernels, hence the hard index ceiling:
-4*n*n + 1 and the squares of candidate primes p <= 2*n must stay below
-2**63.
+4*n*n + 1 and the squares of candidate primes p <= 2*n must stay below 2**63.
 """
 
 from __future__ import annotations
@@ -21,6 +19,7 @@ from .errors import BadFactorizationError, RangeError
 
 # largest n with 4*n*n + 1 < 2**63; also keeps p*p < 2**63 for p <= 2*n
 MAX_INDEX = 1_518_500_249
+_LEFTOVER = (1 << 32) - 1  # a strike key's prime field, all ones for a leftover
 
 
 def check_index_range(n_max: int) -> None:
@@ -43,11 +42,13 @@ def _pow_mod_np(base: np.ndarray, exp: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def _hits(n: int, p: np.ndarray, off: np.ndarray):
-    # each (prime, offset) pair expands to off, off + p, ... below n
+    # each (prime, offset) pair expands to off, off + p, ... below n: one running sum
     counts = (n - 1 - off) // p + 1
-    step = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     ps = np.repeat(p, counts)
-    return np.repeat(off, counts) + step * ps, ps
+    step, first = ps.copy(), np.cumsum(counts) - counts
+    step[first] = off  # a pair's first step jumps here from the last hit of the pair before
+    step[first[1:]] -= (off + (counts - 1) * p)[:-1]
+    return np.cumsum(step, out=step), ps
 
 
 # ---------------------------------------------------------------------------
@@ -82,17 +83,22 @@ def strike_segment(lo: int, hi: int, primes: np.ndarray, roots: np.ndarray):
     every prime p <= 2*(hi - 1) that is 1 mod 4; what then remains of a
     value is 1 or a single prime above 2*n, since 4*n*n + 1 < (2*n + 1)**2,
     and any other leftover is refused.
+
+    The order comes from one sort of int64 keys offset << 32 | prime, a
+    leftover taking prime 2**32 - 1 to sort last in its index: offsets are
+    below 2**31 and struck primes at most 2*MAX_INDEX < 2**32 - 1.  Multiply-back
+    rules out a repeated entry, so the keys are distinct and need no stable sort.
     """
+    check_index_range(hi - 1)
+    if primes.size and primes.max() > 2 * MAX_INDEX:  # the prime field of a key
+        raise RangeError(f"prime {primes.max()} exceeds the int64 ceiling {2 * MAX_INDEX}")
     n = hi - lo
     cof = np.arange(lo, hi, dtype=np.int64)
     cof = 4 * cof * cof + 1  # the values; the index array is not kept alive
-    # first offset of each branch +-root (mod p), kept only where it lands
-    # here; a stable sort by prime index merges the two ascending runs
+    # first offset of each branch +-root (mod p), kept only where it lands here
     off_a, off_b = (roots - lo) % primes, (primes - roots - lo) % primes
     ja, jb = np.flatnonzero(off_a < n), np.flatnonzero(off_b < n)
-    j, off = np.concatenate([ja, jb]), np.concatenate([off_a[ja], off_b[jb]])
-    order = np.argsort(j, kind="stable")
-    pos, ps = _hits(n, primes[j[order]], off[order])
+    pos, ps = _hits(n, primes[np.concatenate([ja, jb])], np.concatenate([off_a[ja], off_b[jb]]))
     # every hit divides its value by construction; a remainder means a bad root
     v, es = cof[pos], np.empty_like(pos)
     np.divmod(v, ps, out=(v, es))  # es holds the remainders until reset
@@ -101,7 +107,7 @@ def strike_segment(lo: int, hi: int, primes: np.ndarray, roots: np.ndarray):
         raise AssertionError(f"strike kernel marked index {bad}, which its prime does not divide")
     # higher powers, followed only for the few hits whose prime divides again
     es.fill(1)
-    at = np.flatnonzero(v % ps == 0)
+    at = high = np.flatnonzero(v % ps == 0)
     v, d = v[at], ps[at]
     while at.size:
         es[at] += 1
@@ -115,22 +121,23 @@ def strike_segment(lo: int, hi: int, primes: np.ndarray, roots: np.ndarray):
     if prod.any():
         bad = int(np.flatnonzero(prod)[0]) + lo
         raise AssertionError(f"struck factors of index {bad} do not divide its value")
-    # a leftover above 1 is a prime beyond every struck one: appended, it sorts last
     left = np.flatnonzero(cof > 1)
-    pos, ps = np.concatenate([pos, left]), np.concatenate([ps, cof[left]])
-    rest = ps[ps.size - left.size :]  # a view of the leftovers just appended
+    rest = cof[left]
     low = np.flatnonzero(rest <= 2 * (left + lo))  # a struck prime or power was missed
     if low.size:
         bad = int(left[low[0]]) + lo
         raise AssertionError(f"index {bad} leaves {rest[low[0]]}, not a prime above {2 * bad}")
-    es = np.concatenate([es, np.ones(left.size, dtype=np.int64)])
-    # LSD radix order on the offset: numpy radix-sorts 16-bit keys when asked
-    # for a stable sort, and each stable pass keeps ties in ascending prime
-    # order; n <= MAX_INDEX < 2**32, so two 16-bit digits cover any segment
-    order = np.argsort(pos.astype(np.uint16), kind="stable")
-    if n > 1 << 16:
-        order = order[np.argsort((pos[order] >> 16).astype(np.uint16), kind="stable")]
-    return pos[order] + lo, ps[order], es[order]
+    key = np.concatenate([pos, left]) << 32
+    key[: pos.size] |= ps
+    key[pos.size :] |= _LEFTOVER  # after every struck prime of its index
+    high_key, high_e = key[high], es[high]
+    key.sort()
+    es = np.ones_like(key)
+    es[np.searchsorted(key, high_key)] = high_e
+    pos = (key >> 32) + lo
+    key &= _LEFTOVER  # now the primes, leftovers still at the sentinel
+    key[np.flatnonzero(key == _LEFTOVER)] = rest  # index order, like rest; faster than a mask
+    return pos, key, es
 
 
 def warmup() -> str:

@@ -162,8 +162,6 @@ def _oracle_checked(terms, mismatch: list):
 
 def cmd_terms(args) -> int:
     lo, hi = _parse_range(args)
-    if not (1 <= lo <= hi):
-        raise ValueError(f"need 1 <= from <= to, got {lo}..{hi}")
     out = sys.stdout
     terms = sieve_range(hi, args.segment_size, start=lo, workers=args.workers)
     mismatch: list[str] = []

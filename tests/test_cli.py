@@ -156,6 +156,19 @@ class TestTermsWindow:
             code, out, _ = run_cli(capsys, "terms", *argv, "--format", "csv")
             assert code == 2 and out == "", argv
 
+    @pytest.mark.parametrize(
+        "window, message",
+        [
+            ("0..5", "need 1 <= start <= n_max, got start=0, n_max=5"),
+            ("5..3", "need 1 <= start <= n_max, got start=5, n_max=3"),
+            ("0..0", "n_max must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_window_is_refused_by_the_plan_before_sieving(self, capsys, monkeypatch, window, message):
+        monkeypatch.setattr(sieve, "primes_1mod4", lambda limit: pytest.fail(f"sieved to {limit}"))
+        code, out, err = run_cli(capsys, "terms", window, "--format", "csv")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_invariant_failure_exits_1_without_traceback(self, capsys, monkeypatch):
         original = kernels._hits
 
@@ -209,7 +222,7 @@ class TestTermsWindow:
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json-lines"])
     def test_segment_wider_than_two_to_the_16_writes_the_same_bytes(self, capsys, fmt):
-        # one 70000-index segment takes the radix order's second digit pass
+        # one 70000-index segment puts offsets above 16 bits in the strike keys
         _, default, _ = run_cli(capsys, "terms", "1..70000", "--format", fmt)
         code, wide, _ = run_cli(
             capsys, "terms", "1..70000", "--segment-size", "70000", "--format", fmt

@@ -11,6 +11,7 @@ import quadsieve._kernels as kernels
 from quadsieve import (
     generator_root,
     is_prime,
+    oracle,
     sqrt_minus_one,
     term_value,
     terms_digest,
@@ -33,6 +34,11 @@ class TestEngineSelection:
             check_index_range(MAX_INDEX + 1)
         assert 4 * MAX_INDEX**2 + 1 < 2**63
         assert 4 * (MAX_INDEX + 1) ** 2 + 1 >= 2**63
+
+    def test_strike_key_layout_fits(self):
+        # a strike key is offset << 32 | prime, with 2**32 - 1 kept for leftovers
+        assert MAX_INDEX < 2**31
+        assert 2 * MAX_INDEX < 2**32 - 1
 
 
 class TestLeastRootsBulk:
@@ -61,6 +67,24 @@ class TestLeastRootsBulk:
             least_roots_bulk(np.array([5, 25]))
 
 
+class TestHits:
+    @given(
+        n=st.integers(1, 300),
+        pairs=st.lists(st.tuples(st.integers(1, 400), st.integers(0, 299)), max_size=25),
+    )
+    @example(n=1, pairs=[(5, 0)])  # a single pair with a single hit
+    @example(n=40, pairs=[(13, 39), (50, 2), (1, 0), (7, 39)])  # off = n - 1 and one-hit pairs
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_progressions_in_pair_order(self, n, pairs):
+        pairs = [(p, off % n) for p, off in pairs]
+        p = np.array([p for p, _ in pairs], dtype=np.int64)
+        off = np.array([off for _, off in pairs], dtype=np.int64)
+        pos, ps = kernels._hits(n, p, off)
+        want = [(off + k * q, q) for q, off in pairs for k in range(n) if off + k * q < n]
+        assert pos.dtype == ps.dtype == np.int64
+        assert list(zip(pos.tolist(), ps.tolist())) == want
+
+
 class TestStrikeSegment:
     @given(lo=st.integers(1, 200_000), width=st.integers(1, 3000))
     @settings(max_examples=10, deadline=None)
@@ -82,7 +106,7 @@ class TestStrikeSegment:
 
     @given(
         lo=st.integers(1, 1_000_000),
-        # both sides of 2**16, so the radix order's second digit pass runs
+        # both sides of 2**16, so some keys carry offsets above 16 bits
         width=st.one_of(st.integers(1, 1 << 16), st.integers((1 << 16) + 1, 140_000)),
     )
     @example(lo=1, width=1 << 16)
@@ -96,6 +120,27 @@ class TestStrikeSegment:
         for got in (pos, ps, es):
             assert np.array_equal(got, got[order])
         SieveSegment(lo, hi, pos, ps, es).check()
+
+    def test_prime_powers_match_trial_division(self):
+        # every index below 20000 with some p**e, e >= 2: its exponents are
+        # placed by a search of the sorted keys, not by the sort itself
+        primes = primes_1mod4(40_000)
+        pos, ps, es = strike_segment(1, 20_000, primes, least_roots_bulk(primes))
+        powered = np.unique(pos[es > 1]).tolist()
+        start = np.searchsorted(pos, powered)
+        stop = np.searchsorted(pos, powered, side="right")
+        with_leftover = 0
+        for n, a, b in zip(powered, start.tolist(), stop.tolist()):
+            factors = list(zip(ps[a:b].tolist(), es[a:b].tolist()))
+            assert factors == oracle.naive_factor(term_value(n)), n
+            with_leftover += factors[-1][0] > 2 * n
+        assert len(powered) > 2000 and with_leftover > 100
+
+    def test_refuses_what_a_key_cannot_hold(self):
+        with pytest.raises(RangeError, match=f"^prime {2 * MAX_INDEX + 3} exceeds the int64 ceiling"):
+            strike_segment(1, 2, np.array([5, 2 * MAX_INDEX + 3]), np.array([1, 1]))
+        with pytest.raises(RangeError, match=f"^index {MAX_INDEX + 1} exceeds the int64 ceiling"):
+            strike_segment(MAX_INDEX, MAX_INDEX + 2, np.array([5]), np.array([1]))
 
     def test_duplicated_hit_fails_multiply_back(self, monkeypatch):
         original = kernels._hits
@@ -146,7 +191,8 @@ class TestDigest:
                 got = terms_digest(n_max, seg, workers=workers)
                 assert got == reference, (seg, workers)
 
-    def test_digest_1e6_on_both_sides_of_the_second_radix_pass(self):
+    def test_digest_1e6_with_offsets_on_both_sides_of_two_to_the_16(self):
+        # 65537- and 262144-index segments put offsets above 16 bits in the keys
         digests = {terms_digest(10**6, seg) for seg in (4096, 65536, 65537, 262144)}
         digests.add(terms_digest(10**6, workers=2))
         assert digests == {DIGEST_1E6}
