@@ -81,14 +81,6 @@ def _product(primes) -> int:
     return n
 
 
-def _lex_subsets(k: int) -> list[tuple[int, ...]]:
-    # index subsets of range(k) in lexicographic order, empty set first
-    all_subsets = itertools.chain.from_iterable(
-        itertools.combinations(range(k), size) for size in range(k + 1)
-    )
-    return sorted(all_subsets)
-
-
 def product_formula(basis) -> int:
     """Product of (p - 2) over the basis primes, exact."""
     entries = tuple(basis)
@@ -117,19 +109,13 @@ def _ie_with_table(entries: PrimeBasis, horizon: int) -> tuple[int, dict[int, in
     _product(b.prime for b in entries)  # range check only
     total = 0
     nu_table: dict[int, int] = {}
-    for subset in _lex_subsets(len(entries)):
-        if not subset:
-            nu_table[1] = 0
-            total += horizon
-            continue
-        chosen = [entries[i] for i in subset]
-        d = math.prod(b.prime for b in chosen)
-        nu = len(subset)
-        nu_table[d] = nu
-        inner = sum(
-            (horizon + z) // d for z in all_roots(d, [(b.prime, 1) for b in chosen]).roots
-        )
-        total += inner if nu % 2 == 0 else -inner
+    for nu in range(len(entries) + 1):
+        for chosen in itertools.combinations(entries, nu):
+            d = math.prod(b.prime for b in chosen)
+            nu_table[d] = nu
+            roots = all_roots(d, [(b.prime, 1) for b in chosen]).roots if d > 1 else (0,)
+            inner = sum((horizon + z) // d for z in roots)
+            total += inner if nu % 2 == 0 else -inner
     return total, nu_table
 
 

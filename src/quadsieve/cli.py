@@ -9,6 +9,11 @@ mismatch or internal invariant failure, 2 bad input or range error.
 `terms a..b` strikes only the window [a, b] and streams its lines: one
 renderer per format (TERM_LINE) turns each Term into its line, and a
 single writelines call writes each line as its Term comes off the sieve.
+The range is a..b or --from/--to, never both.  The CSV header is written
+as soon as sieve_range has accepted the window, which it refuses at the
+call, so a refused window writes nothing.  --oracle is one loop that
+writes each agreeing line and stops at the first term trial division
+factors otherwise, with a mismatch line on stderr and exit 1.
 
 All limits are term indices n, never term values: `--limit 30` means the
 30 terms up to 4*30*30 + 1 = 3601.
@@ -22,7 +27,6 @@ import json
 import sys
 import time
 from dataclasses import asdict
-from itertools import chain
 
 from . import oracle
 from .census import MAX_BASIS_SIZE, census
@@ -123,6 +127,8 @@ class Emitter:
 
 def _parse_range(args) -> tuple[int, int]:
     if args.range is not None:
+        if args.from_ is not None or args.to is not None:
+            raise ValueError("give the range as a..b or as --from/--to, not both")
         text = args.range
         if ".." in text:
             left, right = text.split("..", 1)
@@ -151,30 +157,21 @@ def _table_line(term: Term) -> str:
 TERM_LINE = {"json-lines": _json_line, "csv": _csv_line, "table": _table_line}
 
 
-def _oracle_checked(terms, mismatch: list):
-    """Terms up to the first that trial division factors otherwise; that one goes to mismatch."""
-    for term in terms:
-        if list(term.factors) != (want := oracle.naive_factor(term.value)):
-            mismatch.append(f"n={term.n}: sieve said {term.factors}, trial division said {want}")
-            return
-        yield term
-
-
 def cmd_terms(args) -> int:
     lo, hi = _parse_range(args)
-    out = sys.stdout
+    out, line = sys.stdout, TERM_LINE[args.format]
     terms = sieve_range(hi, args.segment_size, start=lo, workers=args.workers)
-    mismatch: list[str] = []
-    if args.oracle:
-        terms = _oracle_checked(terms, mismatch)
-    # the CSV header only once the range has proved valid, as Emitter does
-    if args.format == "csv" and (first := next(terms, None)) is not None:
+    if args.format == "csv":  # sieve_range has refused any bad window by now
         out.write(",".join(CSV_COLUMNS["term"]) + "\n")
-        terms = chain((first,), terms)
-    out.writelines(map(TERM_LINE[args.format], terms))
-    if mismatch:
-        print(f"oracle mismatch at {mismatch[0]}", file=sys.stderr)
-        return 1
+    if not args.oracle:
+        out.writelines(map(line, terms))
+        return 0
+    for term in terms:
+        if list(term.factors) != (want := oracle.naive_factor(term.value)):
+            said = f"sieve said {term.factors}, trial division said {want}"
+            print(f"oracle mismatch at n={term.n}: {said}", file=sys.stderr)
+            return 1
+        out.write(line(term))
     return 0
 
 

@@ -195,7 +195,6 @@ def sieve_segment(
     """Factor one half-open index range against a prepared (prime, root) plan."""
     if not (1 <= lo < hi):
         raise ValueError(f"bad segment bounds [{lo}, {hi})")
-    check_index_range(hi - 1)
     cut = int(np.searchsorted(primes, 2 * hi))
     return SieveSegment(lo, hi, *strike_segment(lo, hi, primes[:cut], roots[:cut]))
 

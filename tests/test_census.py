@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -26,6 +27,11 @@ class TestInclusionExclusion:
     def test_hand_example_basis5(self):
         # 5 - ((5+1)//5 + (5+4)//5) = 3
         assert inclusion_exclusion_count(basis_from_primes([5]), 5) == 3
+
+    @pytest.mark.parametrize("horizon", [0, 1, 7, 10**6])
+    def test_empty_basis_counts_every_index(self, horizon):
+        # only the divisor 1 is left, with its one root 0
+        assert inclusion_exclusion_count((), horizon) == horizon
 
     def test_matches_exact_and_naive(self):
         cases = [([5], 100), ([5, 13], 100), ([5, 17, 37], 3145), ([13], 7)]
@@ -121,6 +127,17 @@ class TestMainIdentity:
     def test_nu_table(self):
         report = verify_main_identity(2)
         assert report.nu_table == {1: 0, 5: 1, 17: 1, 85: 2}
+
+    def test_nu_table_of_five_primes_has_every_divisor(self):
+        basis = first_k_basis(5)
+        primes = [b.prime for b in basis]
+        table = census(basis).nu_table
+        assert len(table) == 32
+        assert sorted(table) == sorted(
+            math.prod(c) for nu in range(6) for c in itertools.combinations(primes, nu)
+        )
+        for d, nu in table.items():
+            assert nu == sum(d % p == 0 for p in primes), d
 
     def test_k_guard(self):
         with pytest.raises(RangeError):

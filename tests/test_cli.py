@@ -207,6 +207,23 @@ class TestTermsWindow:
         assert out.splitlines() == ["n,value,factors", "1,5,5", "2,17,17", "3,37,37"]
         assert err.startswith("oracle mismatch at n=4: sieve said ((5, 1), (13, 1))")
 
+    def test_oracle_mismatch_at_the_first_index_leaves_only_the_csv_header(self, capsys, monkeypatch):
+        original = oracle.naive_factor
+        monkeypatch.setattr(oracle, "naive_factor", lambda v: [] if v == 5 else original(v))
+        code, out, err = run_cli(capsys, "terms", "1..10", "--oracle", "--format", "csv")
+        assert (code, out) == (1, "n,value,factors\n")
+        assert err == "oracle mismatch at n=1: sieve said ((5, 1),), trial division said []\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["1..10", "--from", "5"], ["5", "--to", "9"], ["1..10", "--from", "1", "--to", "10"]],
+    )
+    def test_range_given_two_ways_is_refused_before_sieving(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sieve, "primes_1mod4", lambda limit: pytest.fail(f"sieved to {limit}"))
+        code, out, err = run_cli(capsys, "terms", *argv, "--format", "csv")
+        assert (code, out) == (2, "")
+        assert err == "error: give the range as a..b or as --from/--to, not both\n"
+
     def test_missing_index_exits_1(self, capsys, monkeypatch):
         original = sieve.strike_segment
 

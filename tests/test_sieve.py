@@ -96,6 +96,11 @@ class TestSieveRange:
     def test_range_guard(self):
         with pytest.raises(RangeError):
             next(iter(sieve_range(MAX_INDEX + 1)))
+        # a segment past the ceiling is refused by the strike itself; it spans
+        # two indices so that a missing check could not build a huge array
+        primes = primes_1mod4(100)
+        with pytest.raises(RangeError, match=rf"^index {MAX_INDEX + 1} exceeds the int64 ceiling"):
+            sieve.sieve_segment(MAX_INDEX, MAX_INDEX + 2, primes, sieve.least_roots_bulk(primes))
 
     @given(
         hi=st.integers(min_value=1, max_value=200_000),
