@@ -131,9 +131,10 @@ def strike_segment(lo: int, hi: int, primes: np.ndarray, roots: np.ndarray):
     key[: pos.size] |= ps
     key[pos.size :] |= _LEFTOVER  # after every struck prime of its index
     high_key, high_e = key[high], es[high]
+    order = np.argsort(high_key)  # ascending needles: each search starts where the last ended
     key.sort()
     es = np.ones_like(key)
-    es[np.searchsorted(key, high_key)] = high_e
+    es[np.searchsorted(key, high_key[order])] = high_e[order]
     pos = (key >> 32) + lo
     key &= _LEFTOVER  # now the primes, leftovers still at the sentinel
     key[np.flatnonzero(key == _LEFTOVER)] = rest  # index order, like rest; faster than a mask

@@ -10,9 +10,14 @@ where nu(d) is the number of prime factors of d, the inner sum runs over
 the full root set of d, and d = 1 contributes n (one empty root 0).  Each
 floor term (n + z) // d counts indices m <= n with m = -z (mod d), and
 root sets are closed under negation, so the inner sum counts exactly the
-indices whose value d divides.  The direct route marks struck indices
-and counts the survivors.  At horizon n = N every floor collapses to
-N // d and the whole sum telescopes to the product of (p - 2).
+indices whose value d divides.  At horizon n = N every floor collapses
+to N // d and the whole sum telescopes to the product of (p - 2).  Each
+root set is one CRT step from a divisor with one prime fewer, and no root
+comes from the basis entries, whose least roots the direct route strikes.
+
+The direct route marks struck indices and counts the survivors.  By
+Lemma 3 the marks of the smallest basis primes repeat with the period of
+their product, so they are built once and copied into every chunk.
 """
 
 from __future__ import annotations
@@ -25,14 +30,15 @@ import numpy as np
 
 from . import oracle
 from .errors import RangeError
-from .modarith import U64_MAX, is_prime
-from .roots import all_roots
+from .modarith import U64_MAX, crt_combine, is_prime, sqrt_minus_one
+from .roots import RootSet
 from .sieve import PrimeBasis, first_k_basis, term_value
 
 _MARK_CHUNK = 1 << 20
+_PRESIEVE_CAP = 1 << 16  # largest product of pre-sieved primes, the pattern's period
 
-# the direct count marks every index up to the horizon, about 2e9 a
-# second; census --k 7 (2.4e10) fits, --k 8 (6.1e12) would run for hours
+# the direct count marks every index up to the horizon, about 5e9 a
+# second; census --k 7 (2.4e10) fits, --k 8 (6.1e12) would run for 20 minutes
 EXACT_COUNT_CAP = 10**11
 
 # every basis prime is >= 5 and 5**28 > 2**64: no larger basis has a 64-bit product
@@ -106,25 +112,45 @@ def inclusion_exclusion_count(basis, horizon: int) -> int:
 def _ie_with_table(entries: PrimeBasis, horizon: int) -> tuple[int, dict[int, int]]:
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    _product(b.prime for b in entries)  # range check only
-    total = 0
-    nu_table: dict[int, int] = {}
-    for nu in range(len(entries) + 1):
-        for chosen in itertools.combinations(entries, nu):
-            d = math.prod(b.prime for b in chosen)
+    primes = [b.prime for b in entries]
+    _product(primes)  # range check only
+    # each prime's roots come from its own construction, not from the basis
+    # entries' least roots, which are what the direct count strikes
+    pairs = []
+    for p in primes:
+        r = sqrt_minus_one(p)
+        if (4 * r * r + 1) % p != 0:  # crt_combine checks every larger divisor
+            raise AssertionError(f"{r} is not a root mod {p}")
+        pairs.append((r, p - r))
+    total, nu_table = horizon, {1: 0}  # d = 1 and its one empty root 0
+    # combinations() lists each subset after the one it extends by its last
+    # prime, a level down: one CRT step per divisor, from the level before
+    prev = {(): (1, ())}
+    for nu in range(1, len(primes) + 1):
+        level = {}
+        for chosen in itertools.combinations(range(len(primes)), nu):
+            m, roots = prev[chosen[:-1]]
+            i = chosen[-1]
+            d = m * primes[i]
+            roots = crt_combine(m, roots, primes[i], pairs[i]) if m > 1 else pairs[i]
+            level[chosen] = d, RootSet(m=d, roots=tuple(roots), nu=nu).roots
             nu_table[d] = nu
-            roots = all_roots(d, [(b.prime, 1) for b in chosen]).roots if d > 1 else (0,)
             inner = sum((horizon + z) // d for z in roots)
-            total += inner if nu % 2 == 0 else -inner
+            total += -inner if nu % 2 else inner
+        prev = level
     return total, nu_table
 
 
 def exact_coprime_count(basis, horizon: int) -> int:
     """Direct count of n <= horizon with value coprime to the basis product.
 
-    Marks the struck progressions +-root (mod p) per basis prime in
-    bounded windows; no inclusion-exclusion involved.  Horizons above
-    EXACT_COUNT_CAP raise RangeError instead of running for hours.
+    Marks the struck progressions +-root (mod p) of every basis prime and
+    counts the unmarked indices; no inclusion-exclusion and no product
+    formula involved.  The smallest primes, with product P <= 2**16, are
+    marked once, in one period of P indices; each chunk, the largest
+    multiple of P up to 2**20 indices, starts at phase 0, takes that period
+    doubled out to its length, and has only the other primes struck.
+    Horizons above EXACT_COUNT_CAP raise RangeError instead of running for minutes.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
@@ -132,15 +158,33 @@ def exact_coprime_count(basis, horizon: int) -> int:
         raise RangeError(
             f"exact_coprime_count is capped at horizon {EXACT_COUNT_CAP}; got {horizon}"
         )
-    pairs = [(b.prime, b.least_root) for b in basis]
+    pairs = sorted((b.prime, b.least_root) for b in basis)
+    period, split = 1, 0
+    while split < len(pairs) and period * pairs[split][0] <= _PRESIEVE_CAP:
+        period *= pairs[split][0]
+        split += 1
+    # index 1 sits at offset 0 of the pattern, and of every chunk after it;
+    # a horizon below the period needs only its first horizon marks
+    pattern = np.zeros(min(period, horizon), dtype=bool)
+    for p, r in pairs[:split]:
+        for z in (r, p - r):
+            pattern[(z - 1) % p :: p] = True
+    chunk = min(_MARK_CHUNK // period * period, horizon)
+    struck = np.empty(chunk, dtype=bool)
     count = 0
-    for lo in range(1, horizon + 1, _MARK_CHUNK):
-        hi = min(lo + _MARK_CHUNK, horizon + 1)
-        struck = np.zeros(hi - lo, dtype=bool)
-        for p, r in pairs:
+    for lo in range(1, horizon + 1, max(chunk, 1)):
+        n = min(chunk, horizon + 1 - lo)
+        marks = struck[:n]
+        filled = min(period, n)
+        marks[:filled] = pattern[:filled]
+        while filled < n:  # double the periods already in place
+            step = min(filled, n - filled)
+            marks[filled : filled + step] = marks[:step]
+            filled += step
+        for p, r in pairs[split:]:
             for z in (r, p - r):
-                struck[(z - lo) % p :: p] = True
-        count += (hi - lo) - int(np.count_nonzero(struck))
+                marks[(z - lo) % p :: p] = True
+        count += n - int(np.count_nonzero(marks))
     return count
 
 

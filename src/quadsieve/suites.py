@@ -272,4 +272,6 @@ def run_suite(name: str, limit: int | None = None) -> SuiteResult:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if limit is None:
         limit = DEFAULT_LIMITS[name]
+    if limit < 1:  # refused before any suite starts work
+        raise ValueError(f"limit must be >= 1, got {limit}")
     return SUITES[name](limit)

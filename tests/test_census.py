@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 
@@ -18,9 +19,14 @@ from quadsieve import (
     second_proof_witness,
     verify_main_identity,
 )
-from quadsieve.census import _MARK_CHUNK, EXACT_COUNT_CAP, MAX_BASIS_SIZE
+from quadsieve.census import _MARK_CHUNK, _PRESIEVE_CAP, EXACT_COUNT_CAP, MAX_BASIS_SIZE
+from quadsieve.roots import RootSet, all_roots
+from quadsieve.sieve import BasisPrime
 
 from golden import MAIN_IDENTITY_VALUES
+
+census_module = importlib.import_module("quadsieve.census")  # the package exports census()
+FIRST_10 = first_k_basis(10)
 
 
 class TestInclusionExclusion:
@@ -95,6 +101,94 @@ class TestExactCount:
             c2 = exact_coprime_count(basis_from_primes([5, 17]), h)
             c3 = exact_coprime_count(basis_from_primes([5, 17, 37]), h)
             assert c1 >= c2 >= c3
+
+
+class TestPresieve:
+    """The direct count marks the smallest primes, product P <= 2**16, once per
+    period of P indices and strikes the rest in chunks of the largest
+    multiple of P up to 2**20 indices."""
+
+    @given(
+        basis=st.lists(st.sampled_from(FIRST_10), unique=True, max_size=10),
+        horizon=st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_naive_count(self, basis, horizon):
+        primes = [b.prime for b in basis]
+        assert exact_coprime_count(basis, horizon) == naive_coprime_count(primes, horizon)
+
+    @pytest.mark.parametrize(
+        "primes,period",
+        [
+            ([5, 13, 17, 29, 101], 5 * 13 * 17 * 29),  # 101 struck per chunk
+            ([5, 17, 37], 5 * 17 * 37),  # all pre-sieved
+            ([65537, 65557], 1),  # none pre-sieved: chunks of 2**20
+        ],
+    )
+    def test_agrees_at_period_and_chunk_edges(self, primes, period):
+        ordered = sorted(primes)  # pre-sieved: the longest prefix with product <= 2**16
+        cut = sum(math.prod(ordered[: i + 1]) <= _PRESIEVE_CAP for i in range(len(ordered)))
+        assert math.prod(ordered[:cut]) == period
+        chunk = _MARK_CHUNK // period * period
+        basis = basis_from_primes(primes)
+        for edge in (period, 2 * period, chunk, 2 * chunk):
+            for horizon in (edge - 1, edge, edge + 1):
+                assert exact_coprime_count(basis, horizon) == inclusion_exclusion_count(
+                    basis, horizon
+                ), (primes, horizon)
+
+    @pytest.mark.parametrize("horizon", [0, 1, _MARK_CHUNK, _MARK_CHUNK + 1])
+    def test_empty_basis_counts_every_index(self, horizon):
+        assert exact_coprime_count((), horizon) == horizon
+
+
+class TestDivisorRoots:
+    def test_every_divisor_root_set_is_all_roots(self, monkeypatch):
+        built = {}
+
+        def record(**fields):
+            root_set = RootSet(**fields)
+            built[root_set.m] = root_set.roots
+            return root_set
+
+        monkeypatch.setattr(census_module, "RootSet", record)
+        primes = [b.prime for b in first_k_basis(6)]
+        inclusion_exclusion_count(first_k_basis(6), 1000)
+        divisors = [math.prod(c) for nu in range(1, 7) for c in itertools.combinations(primes, nu)]
+        assert sorted(built) == sorted(divisors)
+        for d, roots in built.items():
+            assert roots == all_roots(d).roots, d
+
+    @pytest.mark.parametrize("primes", [[13], [5, 13, 17]])
+    def test_corrupted_root_is_refused(self, monkeypatch, primes):
+        basis = basis_from_primes(primes)  # built with the true roots
+        original = census_module.sqrt_minus_one
+        monkeypatch.setattr(
+            census_module, "sqrt_minus_one", lambda p: original(p) + 1 if p == 13 else original(p)
+        )
+        with pytest.raises(AssertionError, match="is not a root mod 13"):
+            inclusion_exclusion_count(basis, 100)
+
+    def test_corrupted_crt_step_is_refused(self, monkeypatch):
+        original = census_module.crt_combine
+
+        def shifted(*args):
+            roots = original(*args)
+            roots[0] += 1
+            return roots
+
+        monkeypatch.setattr(census_module, "crt_combine", shifted)
+        with pytest.raises(AssertionError, match="not closed"):
+            inclusion_exclusion_count(basis_from_primes([5, 13]), 100)
+
+    def test_divisor_sum_ignores_the_basis_roots(self):
+        # the direct count strikes the basis entries' roots; the divisor
+        # sum builds its own, so a wrong entry splits the two routes
+        good = basis_from_primes([5, 13])
+        bad = tuple(BasisPrime(b.prime, b.least_root + 1) for b in good)
+        horizon = 1001  # not a multiple of 5 or 13, so the wrong classes count differently
+        assert inclusion_exclusion_count(bad, horizon) == naive_coprime_count([5, 13], horizon)
+        assert not census(bad, horizon).counts_agree
 
 
 class TestProductFormula:

@@ -13,6 +13,7 @@ import pytest
 import quadsieve._kernels as kernels
 import quadsieve.cli as cli
 import quadsieve.sieve as sieve
+import quadsieve.suites as suites
 from quadsieve import is_prime, oracle, primes_1mod4, sieve_range
 from quadsieve.cli import main
 
@@ -451,6 +452,14 @@ class TestVerify:
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "--suite", "lemma9"])
+
+    @pytest.mark.parametrize("suite", ["all", *suites.SUITES])
+    def test_limit_below_one_is_refused_before_any_suite_runs(self, capsys, monkeypatch, suite):
+        for name in suites.SUITES:
+            monkeypatch.setitem(suites.SUITES, name, lambda limit: pytest.fail("a suite ran"))
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--limit", "0")
+        assert code == 2 and out == ""
+        assert err == "error: limit must be >= 1, got 0\n"
 
 
 class TestBench:
