@@ -139,7 +139,12 @@ PrimeBasis = tuple[BasisPrime, ...]
 
 
 def primes_1mod4(limit: int) -> np.ndarray:
-    """All primes p <= limit with p = 1 (mod 4), ascending int64."""
+    """All primes p <= limit with p = 1 (mod 4), ascending int64.
+
+    A limit past the plan's own prime ceiling 2*MAX_INDEX is refused
+    before the sieve array is allocated."""
+    if limit > 2 * MAX_INDEX:
+        raise RangeError(f"prime limit {limit} exceeds the int64 ceiling {2 * MAX_INDEX}")
     if limit < 5:
         return np.empty(0, dtype=np.int64)
     sieve = np.ones(limit + 1, dtype=bool)

@@ -24,7 +24,7 @@ from .census import (
     verify_main_identity,
 )
 from .errors import QuadsieveError
-from .roots import root_summary
+from .roots import RootSet, root_summary
 from .sieve import (
     _plan,
     _segments,
@@ -72,28 +72,47 @@ class SuiteResult:
 
 
 def iter_pp(limit: int):
-    """Yield (m, factorization) for odd m <= limit with all primes = 1 mod 4.
+    """Yield (m, factors, root_set) for odd m <= limit with all primes = 1 (mod 4).
 
     These m are the products of primes_1mod4(limit), popped in ascending
-    order from a heap.  An entry (m, b, factors of b, j, e) stands for
-    m = b * primes[j]**e with every prime of b below primes[j].  Each m has
-    exactly one entry, pushed when a smaller m that differs from it only in
-    the last prime power is popped, so the heap holds just the frontier.
+    order from a heap.  An entry (m, b, factors of b, roots of b, j, e, z)
+    stands for m = b * primes[j]**e with every prime of b below primes[j],
+    and z is one root mod primes[j]**e.  Each m has exactly one entry,
+    pushed when a smaller m that differs from it only in the last prime
+    power is popped, so the heap holds just the frontier.
+
+    No root set is built twice: each prime's root comes from one
+    sqrt_minus_one, a higher power's from the entry one power down by one
+    hensel_lift, and the roots of m from those of b by one crt_combine
+    (Lemma 3 and the CRT).  Each step checks itself by substitution, and
+    RootSet checks the whole set.  The limit is refused here, at the call;
+    a fault in a root construction is raised from the walk.
     """
     primes = primes_1mod4(limit).tolist()
-    heap = [(5, 1, (), 0, 1)] if primes else []
+    return _walk_pp(primes, limit)
+
+
+def _walk_pp(primes: list[int], limit: int):
+    prime_roots = [modarith.sqrt_minus_one(p) for p in primes]
+    heap = [(5, 1, (), (), 0, 1, prime_roots[0])] if primes else []
     while heap:
-        m, b, base, j, e = heapq.heappop(heap)
-        p = primes[j]
+        m, b, base, base_roots, j, e, z = heapq.heappop(heap)
+        p, q = primes[j], m // b
         factors = (*base, (p, e))
-        yield m, list(factors)
+        if b == 1:
+            roots = (z, q - z) if 2 * z < q else (q - z, z)
+        else:
+            roots = modarith.crt_combine(b, base_roots, q, (z, q - z))
+        root_set = RootSet(m=m, roots=tuple(roots), nu=len(factors))
+        yield m, factors, root_set
         nxt = primes[j + 1] if j + 1 < len(primes) else limit + 1
         if e == 1 and b * nxt <= limit:  # next prime in place of p
-            heapq.heappush(heap, (b * nxt, b, base, j + 1, 1))
-        if m * p <= limit:  # one more power of p
-            heapq.heappush(heap, (m * p, b, base, j, e + 1))
+            heapq.heappush(heap, (b * nxt, b, base, base_roots, j + 1, 1, prime_roots[j + 1]))
+        if m * p <= limit:  # one more power of p, its root lifted from z
+            lifted = modarith.hensel_lift(z, p, e + 1)
+            heapq.heappush(heap, (m * p, b, base, base_roots, j, e + 1, lifted))
         if m * nxt <= limit:  # a new largest prime after p**e
-            heapq.heappush(heap, (m * nxt, m, factors, j + 1, 1))
+            heapq.heappush(heap, (m * nxt, m, factors, root_set.roots, j + 1, 1, prime_roots[j + 1]))
 
 
 def lemma2_witness(n: int) -> bool:
@@ -175,12 +194,26 @@ def suite_lemma3(limit: int) -> SuiteResult:
 
 
 def suite_lemma4(limit: int) -> SuiteResult:
-    """Least-root bounds: sqrt(m-1)/2 <= r <= (m-1)/2 and cofactor <= m-2."""
+    """Least-root bounds: sqrt(m-1)/2 <= r <= (m-1)/2 and cofactor <= m-2.
+
+    A least root outside the bounds is a counterexample at its m, and the
+    walk goes on.  A fault while iter_pp builds a root set (a prime root,
+    lift or CRT that fails its own check) ends the walk and is recorded as
+    one failure, never raised: every later root set depends on it.
+    """
     res = SuiteResult("lemma4", limit)
-    for m, factors in iter_pp(limit):
+    walk = iter_pp(limit)  # an out-of-range limit is refused here, not recorded
+    while True:
+        try:
+            m, _, root_set = next(walk)
+        except StopIteration:
+            break
+        except (QuadsieveError, AssertionError, ValueError) as exc:
+            res.fail(f"walk stopped after {res.cases} root sets: {exc}")
+            break
         res.cases += 1
         try:
-            root_summary(m, factors)  # RootSummary refuses a root outside the bounds
+            root_summary(root_set)  # RootSummary refuses a root outside the bounds
         except (QuadsieveError, AssertionError) as exc:
             res.fail(f"m={m}: {exc}")
     return res

@@ -462,6 +462,15 @@ class TestVerify:
         assert err == "error: limit must be >= 1, got 0\n"
 
 
+    @pytest.mark.parametrize("suite", ["lemma4", "lemma5"])
+    def test_prime_limit_past_the_ceiling_is_refused_before_sieving(self, capsys, monkeypatch, suite):
+        # 10**13 bools would not fit in memory; the refusal comes before np.ones
+        monkeypatch.setattr(sieve.np, "ones", lambda *a, **k: pytest.fail("allocated"))
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--limit", "10000000000000")
+        assert code == 2 and out == ""
+        assert err == f"error: prime limit 10000000000000 exceeds the int64 ceiling {2 * kernels.MAX_INDEX}\n"
+
+
 class TestBench:
     def test_digest_stability(self, capsys):
         digests = set()

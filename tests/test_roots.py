@@ -25,8 +25,10 @@ class TestAllRoots:
         assert all_roots(25).roots == (9, 16)
 
     def test_matches_scan_full_range(self):
-        for m, factors in iter_pp(100_000):
+        # the root set iter_pp carries, all_roots built afresh and the scan agree
+        for m, factors, carried in iter_pp(100_000):
             rs = all_roots(m, factors)
+            assert carried == rs, m
             assert list(rs.roots) == naive_root_scan(m), m
             assert len(rs.roots) == 2 ** len(factors), m
 
@@ -130,14 +132,14 @@ class TestRootSummary:
             assert root_summary(all_roots(m)) == root_summary(m), m
 
     def test_cofactor_identity_and_bounds_full_range(self):
-        for m, factors in iter_pp(100_000):
+        for m, factors, _ in iter_pp(100_000):
             s = root_summary(m, factors)
             assert m * s.cofactor == 4 * s.least_root**2 + 1
             assert 4 * s.least_root**2 + 1 >= m and 2 * s.least_root <= m - 1
             assert s.cofactor <= m - 2
 
     def test_least_root_is_first_divisible_index(self):
-        for m, factors in iter_pp(10_000):
+        for m, factors, _ in iter_pp(10_000):
             r = root_summary(m, factors).least_root
             for n in range(1, r):
                 assert term_value(n) % m != 0, (m, n)

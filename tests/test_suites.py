@@ -1,8 +1,11 @@
+import json
+
 import pytest
 
 from quadsieve import modarith, naive_factor, naive_root_scan, oracle, suites
-from quadsieve.roots import RootSummary, all_roots
+from quadsieve.roots import RootSummary
 from quadsieve.sieve import SieveSegment, Term, term_value
+from quadsieve.cli import main
 from quadsieve.suites import DEFAULT_LIMITS, SUITES, iter_pp, run_suite
 
 
@@ -26,12 +29,16 @@ class TestRegistry:
 
 
 def test_iter_pp_matches_trial_division():
+    # every odd m with all primes = 1 (mod 4), in order, with its factors and
+    # the root set it carries checked against trial division and the root scan
     expected = []
     for m in range(3, 3001, 2):
         factors = naive_factor(m)
         if all(p % 4 == 1 for p, _ in factors):
-            expected.append((m, factors))
-    assert list(iter_pp(3000)) == expected
+            expected.append((m, factors, naive_root_scan(m)))
+    walked = [(m, list(factors), list(rs.roots)) for m, factors, rs in iter_pp(3000)]
+    assert walked == expected
+    assert all(rs.m == m and rs.nu == len(factors) for m, factors, rs in iter_pp(3000))
 
 
 @pytest.mark.parametrize(
@@ -133,11 +140,44 @@ def test_lemma3_reports_a_sieve_that_drops_a_basis_prime_entry(monkeypatch, drop
 def test_lemma4_reports_a_root_outside_the_bounds(monkeypatch):
     # the greatest root in place of the least breaks 2r <= m - 1; RootSummary
     # refuses it, and the suite reports that as a failure instead of raising
-    def greatest_root(m, factors):
-        r = m - all_roots(m, factors).least
+    def greatest_root(root_set):
+        m, r = root_set.m, root_set.roots[-1]
         return RootSummary(m=m, least_root=r, cofactor=(4 * r * r + 1) // m)
 
     monkeypatch.setattr(suites, "root_summary", greatest_root)
     result = run_suite("lemma4", 100)
     assert result.cases == result.failures == len(list(iter_pp(100)))
     assert result.examples[0] == "m=5: least-root bounds violated for m=5, r=4, x=13"
+
+
+def test_lemma4_records_a_wrong_prime_root_as_a_failure(monkeypatch, capsys):
+    # 5 is not a root mod 13 (4*25 + 1 = 101 = 7*13 + 10).  The summary of 13
+    # fails its cofactor identity, a counterexample at m = 13; the lift to
+    # 169 then refuses the root, which ends the walk as one more failure
+    # rather than escaping as a ValueError that verify reads as bad input
+    original = modarith.sqrt_minus_one
+    monkeypatch.setattr(modarith, "sqrt_minus_one", lambda p: 5 if p == 13 else original(p))
+    result = run_suite("lemma4", 1000)
+    assert not result.ok
+    assert result.failures == 2
+    assert result.examples[0].startswith("m=13: cofactor identity fails")
+    assert result.examples[1] == (
+        f"walk stopped after {result.cases} root sets: "
+        "5 does not solve 4*z**2+1 = 0 (mod 13)"
+    )
+    assert main(["verify", "--suite", "lemma4", "--limit", "1000", "--format", "json-lines"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["failures"] == 2 and err == ""
+
+
+def test_lemma4_records_a_failed_lift_check_as_a_failure(monkeypatch):
+    # a wrong inverse in hensel_lift fails its substitution check with an
+    # AssertionError, at the first lift (5 to 25, pushed when 5 is popped)
+    def off_by_one(base, e, mod):
+        r = pow(base, e, mod)
+        return (r + 1) % mod if e == -1 else r
+
+    monkeypatch.setattr(modarith, "pow", off_by_one, raising=False)
+    result = run_suite("lemma4", 100)
+    assert (result.cases, result.failures) == (1, 1)
+    assert result.examples == ["walk stopped after 1 root sets: lift failed for root=1 mod 5**2"]
