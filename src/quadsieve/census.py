@@ -12,8 +12,9 @@ floor term (n + z) // d counts indices m <= n with m = -z (mod d), and
 root sets are closed under negation, so the inner sum counts exactly the
 indices whose value d divides.  At horizon n = N every floor collapses
 to N // d and the whole sum telescopes to the product of (p - 2).  Each
-root set is one CRT step from a divisor with one prime fewer, and no root
-comes from the basis entries, whose least roots the direct route strikes.
+root set is one roots.extend_roots step from the divisor with one prime
+fewer, and no root comes from the basis entries, whose least roots the
+direct route strikes.
 
 The direct route marks struck indices and counts the survivors.  By
 Lemma 3 the marks of the smallest basis primes repeat with the period of
@@ -30,8 +31,8 @@ import numpy as np
 
 from . import oracle
 from .errors import RangeError
-from .modarith import U64_MAX, crt_combine, is_prime, sqrt_minus_one
-from .roots import RootSet
+from .modarith import U64_MAX, is_prime, sqrt_minus_one
+from .roots import extend_roots
 from .sieve import PrimeBasis, first_k_basis, term_value
 
 _MARK_CHUNK = 1 << 20
@@ -114,28 +115,21 @@ def _ie_with_table(entries: PrimeBasis, horizon: int) -> tuple[int, dict[int, in
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     primes = [b.prime for b in entries]
     _product(primes)  # range check only
-    # each prime's roots come from its own construction, not from the basis
+    # each prime's root comes from its own construction, not from the basis
     # entries' least roots, which are what the direct count strikes
-    pairs = []
-    for p in primes:
-        r = sqrt_minus_one(p)
-        if (4 * r * r + 1) % p != 0:  # crt_combine checks every larger divisor
-            raise AssertionError(f"{r} is not a root mod {p}")
-        pairs.append((r, p - r))
+    prime_roots = [sqrt_minus_one(p) for p in primes]
     total, nu_table = horizon, {1: 0}  # d = 1 and its one empty root 0
     # combinations() lists each subset after the one it extends by its last
-    # prime, a level down: one CRT step per divisor, from the level before
-    prev = {(): (1, ())}
+    # prime, a level down: one extend_roots step per divisor
+    prev = {(): None}
     for nu in range(1, len(primes) + 1):
         level = {}
         for chosen in itertools.combinations(range(len(primes)), nu):
-            m, roots = prev[chosen[:-1]]
             i = chosen[-1]
-            d = m * primes[i]
-            roots = crt_combine(m, roots, primes[i], pairs[i]) if m > 1 else pairs[i]
-            level[chosen] = d, RootSet(m=d, roots=tuple(roots), nu=nu).roots
+            root_set = level[chosen] = extend_roots(prev[chosen[:-1]], primes[i], prime_roots[i])
+            d = root_set.m
             nu_table[d] = nu
-            inner = sum((horizon + z) // d for z in roots)
+            inner = sum((horizon + z) // d for z in root_set.roots)
             total += -inner if nu % 2 else inner
         prev = level
     return total, nu_table

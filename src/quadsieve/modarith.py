@@ -110,8 +110,8 @@ def hensel_lift(root: int, p: int, e: int) -> int:
     The derivative 8*z is invertible mod p (p odd, z not divisible by p),
     so one Newton step lands exactly on the lift and preserves the residue
     mod p**(e-1).  No primality test: the lift is checked by substitution,
-    which holds for any odd p, and the one caller has already tested p in
-    sqrt_minus_one.
+    which holds for any odd p, and a root mod p comes from sqrt_minus_one,
+    which tests p.
     """
     if e < 2:
         raise ValueError("target exponent must be >= 2; nothing to lift")

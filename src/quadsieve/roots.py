@@ -85,11 +85,18 @@ def _normalize_factorization(m: int, factorization) -> list[tuple[int, int]]:
     return pairs
 
 
-def _prime_power_roots(p: int, e: int) -> list[int]:
-    z = sqrt_minus_one(p)  # the one primality and class test of p
-    for k in range(2, e + 1):
-        z = hensel_lift(z, p, k)
-    return sorted((z, p**e - z))
+def extend_roots(base: RootSet | None, q: int, z: int) -> RootSet:
+    """Root set mod base.m * q from base and the pair (z, q - z) mod a coprime prime power q.
+
+    Every root set grows by this one step (Lemma 3 and the CRT).  With no
+    base, z is checked here by substitution; else crt_combine checks each.
+    """
+    if base is None:
+        if (4 * z * z + 1) % q != 0:
+            raise AssertionError(f"{z} is not a root mod {q}")
+        return RootSet(m=q, roots=tuple(sorted((z, q - z))), nu=1)
+    roots = crt_combine(base.m, base.roots, q, (z, q - z))
+    return RootSet(m=base.m * q, roots=tuple(roots), nu=base.nu + 1)
 
 
 def all_roots(m: int, factorization=None) -> RootSet:
@@ -98,13 +105,13 @@ def all_roots(m: int, factorization=None) -> RootSet:
     The factorization is (p, e) pairs.  A prime in class 3 mod 4 is
     precisely the case with no roots at all, and raises NoRootsError.
     """
-    pairs = _normalize_factorization(m, factorization)
-    (p, e), *rest = pairs
-    acc_m, acc_roots = p**e, _prime_power_roots(p, e)
-    for p, e in rest:
-        acc_roots = crt_combine(acc_m, acc_roots, p**e, _prime_power_roots(p, e))
-        acc_m *= p**e
-    return RootSet(m=m, roots=tuple(acc_roots), nu=len(pairs))
+    root_set = None
+    for p, e in _normalize_factorization(m, factorization):
+        z = sqrt_minus_one(p)  # the one primality and class test of p
+        for k in range(2, e + 1):
+            z = hensel_lift(z, p, k)
+        root_set = extend_roots(root_set, p**e, z)
+    return root_set
 
 
 def root_summary(m: int | RootSet, factorization=None) -> RootSummary:

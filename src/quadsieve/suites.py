@@ -24,7 +24,7 @@ from .census import (
     verify_main_identity,
 )
 from .errors import QuadsieveError
-from .roots import RootSet, root_summary
+from .roots import extend_roots, root_summary
 from .sieve import (
     _plan,
     _segments,
@@ -75,18 +75,18 @@ def iter_pp(limit: int):
     """Yield (m, factors, root_set) for odd m <= limit with all primes = 1 (mod 4).
 
     These m are the products of primes_1mod4(limit), popped in ascending
-    order from a heap.  An entry (m, b, factors of b, roots of b, j, e, z)
+    order from a heap.  An entry (m, b, factors of b, root set of b, j, e, z)
     stands for m = b * primes[j]**e with every prime of b below primes[j],
-    and z is one root mod primes[j]**e.  Each m has exactly one entry,
-    pushed when a smaller m that differs from it only in the last prime
-    power is popped, so the heap holds just the frontier.
+    and z is one root mod primes[j]**e; b = 1 has no root set (None).
+    Each m has exactly one entry, pushed when a smaller m that differs from
+    it only in the last prime power is popped, so the heap holds just the
+    frontier.
 
     No root set is built twice: each prime's root comes from one
     sqrt_minus_one, a higher power's from the entry one power down by one
-    hensel_lift, and the roots of m from those of b by one crt_combine
-    (Lemma 3 and the CRT).  Each step checks itself by substitution, and
-    RootSet checks the whole set.  The limit is refused here, at the call;
-    a fault in a root construction is raised from the walk.
+    hensel_lift, and the root set of m from that of b by one
+    roots.extend_roots.  The limit is refused here, at the call; a fault
+    in a root construction is raised from the walk.
     """
     primes = primes_1mod4(limit).tolist()
     return _walk_pp(primes, limit)
@@ -94,25 +94,21 @@ def iter_pp(limit: int):
 
 def _walk_pp(primes: list[int], limit: int):
     prime_roots = [modarith.sqrt_minus_one(p) for p in primes]
-    heap = [(5, 1, (), (), 0, 1, prime_roots[0])] if primes else []
+    heap = [(5, 1, (), None, 0, 1, prime_roots[0])] if primes else []
     while heap:
-        m, b, base, base_roots, j, e, z = heapq.heappop(heap)
-        p, q = primes[j], m // b
+        m, b, base, base_set, j, e, z = heapq.heappop(heap)
+        p = primes[j]
         factors = (*base, (p, e))
-        if b == 1:
-            roots = (z, q - z) if 2 * z < q else (q - z, z)
-        else:
-            roots = modarith.crt_combine(b, base_roots, q, (z, q - z))
-        root_set = RootSet(m=m, roots=tuple(roots), nu=len(factors))
+        root_set = extend_roots(base_set, m // b, z)
         yield m, factors, root_set
         nxt = primes[j + 1] if j + 1 < len(primes) else limit + 1
         if e == 1 and b * nxt <= limit:  # next prime in place of p
-            heapq.heappush(heap, (b * nxt, b, base, base_roots, j + 1, 1, prime_roots[j + 1]))
+            heapq.heappush(heap, (b * nxt, b, base, base_set, j + 1, 1, prime_roots[j + 1]))
         if m * p <= limit:  # one more power of p, its root lifted from z
             lifted = modarith.hensel_lift(z, p, e + 1)
-            heapq.heappush(heap, (m * p, b, base, base_roots, j, e + 1, lifted))
+            heapq.heappush(heap, (m * p, b, base, base_set, j, e + 1, lifted))
         if m * nxt <= limit:  # a new largest prime after p**e
-            heapq.heappush(heap, (m * nxt, m, factors, root_set.roots, j + 1, 1, prime_roots[j + 1]))
+            heapq.heappush(heap, (m * nxt, m, factors, root_set, j + 1, 1, prime_roots[j + 1]))
 
 
 def lemma2_witness(n: int) -> bool:

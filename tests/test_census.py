@@ -20,7 +20,8 @@ from quadsieve import (
     verify_main_identity,
 )
 from quadsieve.census import _MARK_CHUNK, _PRESIEVE_CAP, EXACT_COUNT_CAP, MAX_BASIS_SIZE
-from quadsieve.roots import RootSet, all_roots
+from quadsieve import roots as roots_module
+from quadsieve.roots import all_roots, extend_roots
 from quadsieve.sieve import BasisPrime
 
 from golden import MAIN_IDENTITY_VALUES
@@ -146,12 +147,12 @@ class TestDivisorRoots:
     def test_every_divisor_root_set_is_all_roots(self, monkeypatch):
         built = {}
 
-        def record(**fields):
-            root_set = RootSet(**fields)
+        def record(*args):
+            root_set = extend_roots(*args)
             built[root_set.m] = root_set.roots
             return root_set
 
-        monkeypatch.setattr(census_module, "RootSet", record)
+        monkeypatch.setattr(census_module, "extend_roots", record)
         primes = [b.prime for b in first_k_basis(6)]
         inclusion_exclusion_count(first_k_basis(6), 1000)
         divisors = [math.prod(c) for nu in range(1, 7) for c in itertools.combinations(primes, nu)]
@@ -170,14 +171,14 @@ class TestDivisorRoots:
             inclusion_exclusion_count(basis, 100)
 
     def test_corrupted_crt_step_is_refused(self, monkeypatch):
-        original = census_module.crt_combine
+        original = roots_module.crt_combine
 
         def shifted(*args):
             roots = original(*args)
             roots[0] += 1
             return roots
 
-        monkeypatch.setattr(census_module, "crt_combine", shifted)
+        monkeypatch.setattr(roots_module, "crt_combine", shifted)
         with pytest.raises(AssertionError, match="not closed"):
             inclusion_exclusion_count(basis_from_primes([5, 13]), 100)
 

@@ -1,4 +1,5 @@
 import builtins
+import importlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,8 @@ from quadsieve import (
     NoRootsError,
     RangeError,
     all_roots,
+    basis_from_primes,
+    inclusion_exclusion_count,
     is_prime,
     naive_root_scan,
     root_summary,
@@ -16,6 +19,8 @@ from quadsieve import (
 )
 from quadsieve import modarith, roots
 from quadsieve.suites import iter_pp, run_suite
+
+census_module = importlib.import_module("quadsieve.census")  # the package exports census()
 
 
 class TestAllRoots:
@@ -57,6 +62,28 @@ class TestAllRoots:
         monkeypatch.setattr(modarith, "pow", off_by_one, raising=False)
         with pytest.raises(AssertionError, match=message):
             all_roots(m)
+
+    @pytest.mark.parametrize(
+        "build, args",
+        [
+            (all_roots, (13,)),
+            (lambda limit: list(iter_pp(limit)), (13,)),
+            (inclusion_exclusion_count, (basis_from_primes([13]), 100)),
+        ],
+        ids=["all_roots", "iter_pp", "divisor-sum"],
+    )
+    def test_wrong_prime_root_is_refused_by_every_builder(self, monkeypatch, build, args):
+        # a wrong root that sqrt_minus_one failed to catch is refused by the
+        # first step of the root set that holds it, whichever builder takes it
+        original = modarith.sqrt_minus_one
+
+        def wrong(p):
+            return original(p) + 1 if p == 13 else original(p)
+
+        for module in (modarith, roots, census_module):
+            monkeypatch.setattr(module, "sqrt_minus_one", wrong)
+        with pytest.raises(AssertionError, match="is not a root mod 13"):
+            build(*args)
 
     def test_no_roots_for_class3_factor(self):
         with pytest.raises(NoRootsError):
