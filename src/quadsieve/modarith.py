@@ -111,7 +111,7 @@ def hensel_lift(root: int, p: int, e: int) -> int:
     so one Newton step lands exactly on the lift and preserves the residue
     mod p**(e-1).  No primality test: the lift is checked by substitution,
     which holds for any odd p, and a root mod p comes from sqrt_minus_one,
-    which tests p.
+    which tests p, or from least_roots_bulk over primes the sieve found.
     """
     if e < 2:
         raise ValueError("target exponent must be >= 2; nothing to lift")

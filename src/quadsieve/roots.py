@@ -109,7 +109,10 @@ def all_roots(m: int, factorization=None) -> RootSet:
     for p, e in _normalize_factorization(m, factorization):
         z = sqrt_minus_one(p)  # the one primality and class test of p
         for k in range(2, e + 1):
-            z = hensel_lift(z, p, k)
+            try:
+                z = hensel_lift(z, p, k)
+            except ValueError as exc:  # bad input to hensel_lift, but z is our own root
+                raise AssertionError(str(exc)) from exc
         root_set = extend_roots(root_set, p**e, z)
     return root_set
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import modarith, oracle
-from ._kernels import check_index_range
+from ._kernels import check_index_range, least_roots_bulk
 from .census import (
     exact_coprime_count,
     inclusion_exclusion_count,
@@ -82,18 +82,19 @@ def iter_pp(limit: int):
     it only in the last prime power is popped, so the heap holds just the
     frontier.
 
-    No root set is built twice: each prime's root comes from one
-    sqrt_minus_one, a higher power's from the entry one power down by one
-    hensel_lift, and the root set of m from that of b by one
-    roots.extend_roots.  The limit is refused here, at the call; a fault
-    in a root construction is raised from the walk.
+    No root set is built twice: every prime's root comes from one
+    least_roots_bulk call over the sieved primes, a higher power's from the
+    entry one power down by one hensel_lift, and the root set of m from
+    that of b by one roots.extend_roots, which checks each prime's root by
+    substitution at m = p.  The limit is refused here, at the call; a fault
+    in the kernel or in a root construction is raised from the walk.
     """
-    primes = primes_1mod4(limit).tolist()
-    return _walk_pp(primes, limit)
+    return _walk_pp(primes_1mod4(limit), limit)
 
 
-def _walk_pp(primes: list[int], limit: int):
-    prime_roots = [modarith.sqrt_minus_one(p) for p in primes]
+def _walk_pp(primes: np.ndarray, limit: int):
+    prime_roots = least_roots_bulk(primes).tolist()  # in the walk, so lemma4 records a fault
+    primes = primes.tolist()
     heap = [(5, 1, (), None, 0, 1, prime_roots[0])] if primes else []
     while heap:
         m, b, base, base_set, j, e, z = heapq.heappop(heap)
@@ -193,9 +194,10 @@ def suite_lemma4(limit: int) -> SuiteResult:
     """Least-root bounds: sqrt(m-1)/2 <= r <= (m-1)/2 and cofactor <= m-2.
 
     A least root outside the bounds is a counterexample at its m, and the
-    walk goes on.  A fault while iter_pp builds a root set (a prime root,
-    lift or CRT that fails its own check) ends the walk and is recorded as
-    one failure, never raised: every later root set depends on it.
+    walk goes on.  A fault while iter_pp builds a root set (the prime-root
+    kernel, or a prime root, lift or CRT that fails its own check) ends the
+    walk and is recorded as one failure, never raised: every later root set
+    depends on it.
     """
     res = SuiteResult("lemma4", limit)
     walk = iter_pp(limit)  # an out-of-range limit is refused here, not recorded

@@ -12,6 +12,7 @@ import pytest
 
 import quadsieve._kernels as kernels
 import quadsieve.cli as cli
+import quadsieve.roots as roots
 import quadsieve.sieve as sieve
 import quadsieve.suites as suites
 from quadsieve import is_prime, oracle, primes_1mod4, sieve_range
@@ -301,6 +302,17 @@ class TestRoots:
         code, out, err = run_cli(capsys, "roots", "65", "--oracle")
         assert (code, out) == (1, "")
         assert err == "oracle mismatch for m=65: built [4, 9, 56, 61], scan [1]\n"
+
+    @pytest.mark.parametrize("m", ["13", "65", "169"])
+    def test_a_wrong_root_of_its_own_exits_1_at_every_modulus(self, capsys, monkeypatch, m):
+        # 5 is not a root mod 13.  extend_roots refuses it for 13 and 65 and
+        # the first lift for 169; the root is the program's own, so each is
+        # an internal fault (exit 1), never bad input (exit 2)
+        original = roots.sqrt_minus_one
+        monkeypatch.setattr(roots, "sqrt_minus_one", lambda p: 5 if p == 13 else original(p))
+        code, out, err = run_cli(capsys, "roots", m)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: internal invariant failed: ")
 
     def test_modulus_above_64_bits_is_refused_before_factoring(self, capsys, monkeypatch):
         # 2**89 - 1 is prime: trial division up to its square root would not end

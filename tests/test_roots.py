@@ -17,7 +17,7 @@ from quadsieve import (
     root_summary,
     term_value,
 )
-from quadsieve import modarith, roots
+from quadsieve import modarith, roots, suites
 from quadsieve.suites import iter_pp, run_suite
 
 census_module = importlib.import_module("quadsieve.census")  # the package exports census()
@@ -73,7 +73,7 @@ class TestAllRoots:
         ids=["all_roots", "iter_pp", "divisor-sum"],
     )
     def test_wrong_prime_root_is_refused_by_every_builder(self, monkeypatch, build, args):
-        # a wrong root that sqrt_minus_one failed to catch is refused by the
+        # a wrong root that its construction failed to catch is refused by the
         # first step of the root set that holds it, whichever builder takes it
         original = modarith.sqrt_minus_one
 
@@ -82,6 +82,8 @@ class TestAllRoots:
 
         for module in (modarith, roots, census_module):
             monkeypatch.setattr(module, "sqrt_minus_one", wrong)
+        bulk = suites.least_roots_bulk  # the walk's prime roots come from the kernel
+        monkeypatch.setattr(suites, "least_roots_bulk", lambda primes: bulk(primes) + (primes == 13))
         with pytest.raises(AssertionError, match="is not a root mod 13"):
             build(*args)
 

@@ -1,5 +1,8 @@
 import json
+import sys
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from quadsieve import modarith, naive_factor, naive_root_scan, oracle, suites
@@ -154,8 +157,8 @@ def test_lemma4_records_a_wrong_prime_root_as_a_failure(monkeypatch, capsys):
     # 5 is not a root mod 13 (4*25 + 1 = 101 = 7*13 + 10).  The first step of
     # the root set mod 13 refuses it, which ends the walk as one recorded
     # failure rather than an error that leaves verify no record to print
-    original = modarith.sqrt_minus_one
-    monkeypatch.setattr(modarith, "sqrt_minus_one", lambda p: 5 if p == 13 else original(p))
+    original = suites.least_roots_bulk
+    monkeypatch.setattr(suites, "least_roots_bulk", lambda ps: np.where(ps == 13, 5, original(ps)))
     result = run_suite("lemma4", 1000)
     assert result.failures == 1
     assert result.examples == [
@@ -164,6 +167,34 @@ def test_lemma4_records_a_wrong_prime_root_as_a_failure(monkeypatch, capsys):
     assert main(["verify", "--suite", "lemma4", "--limit", "1000", "--format", "json-lines"]) == 1
     out, err = capsys.readouterr()
     assert json.loads(out)["failures"] == 1 and err == ""
+
+
+def test_iter_pp_takes_every_prime_root_from_one_kernel_call(monkeypatch):
+    # the walk's prime roots come from one bulk call over the sieved primes,
+    # with no scalar root or primality test per prime
+    calls = Counter()
+    for fn in (suites.least_roots_bulk, modarith.sqrt_minus_one, modarith.is_prime):
+        def counted(*args, _fn=fn):
+            calls[_fn.__name__] += 1
+            return _fn(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "quadsieve" and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted)
+    list(iter_pp(10**4))
+    assert calls == {"least_roots_bulk": 1}
+
+
+def test_lemma4_records_a_kernel_fault_as_a_failure(monkeypatch):
+    # the bulk call runs inside the walk, so a fault there is one recorded
+    # failure, like a root construction's, not an error out of run_suite
+    def broken(primes):
+        raise AssertionError("kernel fault")
+
+    monkeypatch.setattr(suites, "least_roots_bulk", broken)
+    result = run_suite("lemma4", 1000)
+    assert (result.cases, result.failures) == (0, 1)
+    assert result.examples == ["walk stopped after 0 root sets: kernel fault"]
 
 
 def test_lemma4_records_a_failed_lift_check_as_a_failure(monkeypatch):
