@@ -3,8 +3,8 @@
 Commands: terms, primes, roots, census, verify, bench.  Structured output
 comes as line-delimited JSON records (--format json-lines) or CSV with a
 fixed, documented column order (--format csv); the default is a plain
-table for reading.  Exit codes: 0 success, 1 verification failure, oracle
-mismatch or internal invariant failure, 2 bad input or range error.
+table for reading.  Exit codes: 0 success, 1 verification, certification
+or internal invariant failure or oracle mismatch, 2 bad input or range error.
 
 `terms a..b` strikes only the window [a, b] and streams its lines: one
 renderer per format (TERM_LINE) turns each Term into its line, and a
@@ -12,8 +12,8 @@ single writelines call writes each line as its Term comes off the sieve.
 The range is a..b or --from/--to, never both.  The CSV header is written
 as soon as sieve_range has accepted the window, which it refuses at the
 call, so a refused window writes nothing.  --oracle is one loop that
-writes each agreeing line and stops at the first term trial division
-factors otherwise, with a mismatch line on stderr and exit 1.
+certifies each Term by Term.verify, writes its line, and stops at the
+first that fails, with the certifier's message on stderr and exit 1.
 
 All limits are term indices n, never term values: `--limit 30` means the
 30 terms up to 4*30*30 + 1 = 3601.
@@ -30,7 +30,7 @@ from dataclasses import asdict
 
 from . import oracle
 from .census import MAX_BASIS_SIZE, census
-from .errors import QuadsieveError, RangeError
+from .errors import BadFactorizationError, QuadsieveError, RangeError
 from .roots import all_roots, root_summary
 from .sieve import (
     DEFAULT_SEGMENT_SIZE,
@@ -167,9 +167,10 @@ def cmd_terms(args) -> int:
         out.writelines(map(line, terms))
         return 0
     for term in terms:
-        if list(term.factors) != (want := oracle.naive_factor(term.value)):
-            said = f"sieve said {term.factors}, trial division said {want}"
-            print(f"oracle mismatch at n={term.n}: {said}", file=sys.stderr)
+        try:
+            term.verify()
+        except BadFactorizationError as exc:
+            print(f"certification failed: {exc}", file=sys.stderr)
             return 1
         out.write(line(term))
     return 0
@@ -306,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("range", nargs="?", help="index range like 1..30 (or a single index)")
     p.add_argument("--from", dest="from_", type=int, default=None)
     p.add_argument("--to", type=int, default=None)
-    p.add_argument("--oracle", action="store_true", help="cross-check against trial division")
+    p.add_argument("--oracle", action="store_true", help="certify each term's primes and product")
     _add_common(p, stream=True)
     p.set_defaults(func=cmd_terms)
 

@@ -59,22 +59,23 @@ class Term(NamedTuple):
         return len(self.factors) == 1 and self.factors[0] == (self.value, 1)
 
     def verify(self) -> None:
-        """Recompute the defining invariants; raises on any mismatch."""
-        if self.value != term_value(self.n):
-            raise BadFactorizationError(f"term {self.n}: value {self.value} is wrong")
-        prod = 1
-        last = 0
+        """Certify the term or raise BadFactorizationError.  A pass proves factors is
+        the factorization of value = 4*n*n + 1: ascending primes = 1 (mod 4), each
+        passing modarith.is_prime, with exponents >= 1 and product value."""
+        n, prod, last = self.n, 1, 0
+        if self.value != term_value(n):
+            raise BadFactorizationError(f"term {n}: value {self.value} is wrong")
         for p, e in self.factors:
             if p <= last:
-                raise BadFactorizationError(f"term {self.n}: factors out of order")
+                raise BadFactorizationError(f"term {n}: factors out of order")
             if p % 4 != 1 or e < 1:
-                raise BadFactorizationError(f"term {self.n}: bad factor {p}^{e}")
+                raise BadFactorizationError(f"term {n}: bad factor {p}^{e}")
+            if not modarith.is_prime(p):
+                raise BadFactorizationError(f"term {n}: factor {p} is not prime")
             last = p
             prod *= p**e
         if prod != self.value:
-            raise BadFactorizationError(
-                f"term {self.n}: factors multiply to {prod}, not {self.value}"
-            )
+            raise BadFactorizationError(f"term {n}: factors multiply to {prod}, not {self.value}")
 
 
 @dataclass(slots=True)

@@ -26,6 +26,7 @@ from .census import (
 from .errors import QuadsieveError
 from .roots import extend_roots, root_summary
 from .sieve import (
+    Term,
     _plan,
     _segments,
     first_k_basis,
@@ -134,9 +135,9 @@ def lemma2_witness(n: int) -> bool:
 
 
 def suite_lemma1(limit: int) -> SuiteResult:
-    """Divisor classes: sieve factors all lie in 1 mod 4 and multiply back;
-    odd moduli with a factor = 3 (mod 4) have a class-3 prime factor whose
-    exhaustive root scan is empty."""
+    """Divisor classes: Term.verify certifies every sieved term's factors as
+    primes in 1 mod 4 that multiply back; odd moduli with a factor = 3 (mod 4)
+    have a class-3 prime factor whose exhaustive root scan is empty."""
     res = SuiteResult("lemma1", limit)
     for term in sieve_range(limit):
         res.cases += 1
@@ -264,23 +265,19 @@ def suite_main_identity(limit: int) -> SuiteResult:
 
 
 def suite_second_proof(limit: int) -> SuiteResult:
-    """The value at index N is coprime to every basis prime and factors cleanly."""
+    """The value at index N is coprime to every basis prime; Term.verify certifies its factors."""
     res = SuiteResult("second-proof", limit)
     for k in range(1, limit + 1):
         res.cases += 1
         w = second_proof_witness(k)
         if any(g != 1 for g in w.gcds):
             res.fail(f"k={k}: gcds {w.gcds} not all 1")
-        basis_primes = {b.prime for b in w.basis}
-        prod = 1
-        for p, e in w.factors:
-            prod *= p**e
-            if p in basis_primes:
-                res.fail(f"k={k}: factor {p} is a basis prime")
-            if p % 4 != 1 or not modarith.is_prime(p):
-                res.fail(f"k={k}: bad factor {p}")
-        if prod != w.value:
-            res.fail(f"k={k}: factors multiply to {prod}, not {w.value}")
+        for p in sorted({p for p, _ in w.factors} & {b.prime for b in w.basis}):
+            res.fail(f"k={k}: factor {p} is a basis prime")
+        try:
+            Term(w.n_product, w.value, w.factors).verify()
+        except QuadsieveError as exc:
+            res.fail(f"k={k}: {exc}")
         if w.value_is_prime != (len(w.factors) == 1 and w.factors[0][1] == 1):
             res.fail(f"k={k}: primality flag disagrees with factorization")
     return res

@@ -58,6 +58,9 @@ DIGEST_1E6 = "6b595a0b573e08dc6e5ad615aaaf5e6f"
 # the same digest for n = 1 .. 10**7; a slow-marked test recomputes it
 DIGEST_1E7 = "02c426e7cac03d3a800d4c06636e48e1"
 
+# the same digest for n = 1 .. 10**8, pinned by a slow-marked test
+DIGEST_1E8 = "a645efea62085cf38fd73122c0ddc834"
+
 # SHA-256 of the stdout of `terms 1..300000 --format F`, recorded before
 # the term path was rewritten; the json-lines one is perfbench's too
 TERMS_300K_SHA256 = {

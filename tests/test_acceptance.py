@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one line per
 criterion.  All checks are exact; the time limits are the stated ones.
 """
 
-import math
 import random
 import time
 
@@ -12,8 +11,8 @@ import numpy as np
 import pytest
 
 from quadsieve import (
+    Term,
     first_k_basis,
-    is_prime,
     second_proof_witness,
     sieve_range,
     terms_digest,
@@ -25,6 +24,7 @@ from quadsieve.suites import run_suite
 from golden import (
     DIGEST_1E6,
     DIGEST_1E7,
+    DIGEST_1E8,
     EXPLICIT_FACTORIZATION_COUNT,
     FIRST_BASIS_25_PRIMES,
     GOLDEN_30,
@@ -73,7 +73,7 @@ def test_criterion_02_lemma1_divisor_classes():
     report(
         2,
         result.ok,
-        f"factors in class 1 mod 4 and class-3 moduli rootless ({result.cases} cases)",
+        f"certified factors in class 1 mod 4 and class-3 moduli rootless ({result.cases} cases)",
         elapsed,
     )
     assert result.ok, result.examples
@@ -166,30 +166,43 @@ def test_criterion_10_determinism_and_parallelism():
     assert ok, digests
 
 
+def _certified(segments, sample, checked):
+    """Pass the segments through, certifying the Term of each sampled index
+    (ascending, in the segments' range) by Term.verify on the way."""
+    for seg in segments:
+        for m in sample[len(checked) :]:
+            if m >= seg.hi:
+                break
+            a, b = np.searchsorted(seg.positions, [m, m + 1])
+            factors = tuple(zip(seg.primes[a:b].tolist(), seg.exponents[a:b].tolist()))
+            Term(m, 4 * m * m + 1, factors).verify()
+            checked.append(m)
+        yield seg
+
+
 @pytest.mark.slow
 def test_digest_1e7_pinned_and_sampled():
     done = timed(300.0)
     n = 10**7
     sample = sorted(random.Random(10**7).sample(range(1, n + 1), 1000))
     checked = []
-
-    def with_sample_checked(segments):
-        # each sampled term on its own: prime factors, ascending, multiplying back
-        for seg in segments:
-            for m in sample[len(checked) :]:
-                if m >= seg.hi:
-                    break
-                a, b = np.searchsorted(seg.positions, [m, m + 1])
-                ps, es = seg.primes[a:b].tolist(), seg.exponents[a:b].tolist()
-                assert all(is_prime(p) and p % 4 == 1 for p in ps), m
-                assert ps == sorted(set(ps)), m
-                assert math.prod(p**e for p, e in zip(ps, es)) == 4 * m * m + 1, m
-                checked.append(m)
-            yield seg
-
-    ok = _digest(with_sample_checked(_segments(_plan(n)))) == DIGEST_1E7
+    ok = _digest(_certified(_segments(_plan(n)), sample, checked)) == DIGEST_1E7
     ok = ok and checked == sample
     ok = ok and terms_digest(n, 262144, workers=2) == DIGEST_1E7
     elapsed = done()
-    report(11, ok, "terms 1..10^7 digest pinned; 1000 sampled terms checked by is_prime", elapsed)
+    report(11, ok, "terms 1..10^7 digest pinned; 1000 sampled terms certified", elapsed)
+    assert ok
+
+
+@pytest.mark.slow
+def test_digest_1e8_pinned_and_certified():
+    # about 130 s and 460 MB peak RSS on a 2-vCPU machine
+    done = timed(600.0)
+    n = 10**8
+    sample = sorted(random.Random(n).sample(range(1, n + 1), 10_000))
+    checked = []
+    ok = _digest(_certified(_segments(_plan(n)), sample, checked)) == DIGEST_1E8
+    ok = ok and checked == sample
+    elapsed = done()
+    report(12, ok, "terms 1..10^8 digest pinned; 10^4 sampled terms certified", elapsed)
     assert ok

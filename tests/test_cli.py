@@ -15,7 +15,7 @@ import quadsieve.cli as cli
 import quadsieve.roots as roots
 import quadsieve.sieve as sieve
 import quadsieve.suites as suites
-from quadsieve import is_prime, oracle, primes_1mod4, sieve_range
+from quadsieve import is_prime, modarith, oracle, primes_1mod4, sieve_range
 from quadsieve.cli import main
 
 from golden import FIRST_BASIS_25_PRIMES, GOLDEN_30, TERMS_300K_SHA256
@@ -198,23 +198,21 @@ class TestTermsWindow:
         assert code == 0 and checked == plain
 
     def test_oracle_mismatch_exits_1_after_the_agreeing_lines(self, capsys, monkeypatch):
-        original = oracle.naive_factor
-
-        def wrong_at_65(value):
-            return [] if value == 65 else original(value)
-
-        monkeypatch.setattr(oracle, "naive_factor", wrong_at_65)
+        # the certifier's primality test, told that 13 is composite, refuses 65 = 5 * 13
+        original = modarith.is_prime
+        monkeypatch.setattr(modarith, "is_prime", lambda v: v != 13 and original(v))
+        monkeypatch.setattr(oracle, "naive_factor", lambda v: pytest.fail(f"trial-divided {v}"))
         code, out, err = run_cli(capsys, "terms", "1..10", "--oracle", "--format", "csv")
         assert code == 1
         assert out.splitlines() == ["n,value,factors", "1,5,5", "2,17,17", "3,37,37"]
-        assert err.startswith("oracle mismatch at n=4: sieve said ((5, 1), (13, 1))")
+        assert err == "certification failed: term 4: factor 13 is not prime\n"
 
     def test_oracle_mismatch_at_the_first_index_leaves_only_the_csv_header(self, capsys, monkeypatch):
-        original = oracle.naive_factor
-        monkeypatch.setattr(oracle, "naive_factor", lambda v: [] if v == 5 else original(v))
+        original = modarith.is_prime
+        monkeypatch.setattr(modarith, "is_prime", lambda v: v != 5 and original(v))
         code, out, err = run_cli(capsys, "terms", "1..10", "--oracle", "--format", "csv")
         assert (code, out) == (1, "n,value,factors\n")
-        assert err == "oracle mismatch at n=1: sieve said ((5, 1),), trial division said []\n"
+        assert err == "certification failed: term 1: factor 5 is not prime\n"
 
     @pytest.mark.parametrize(
         "argv",

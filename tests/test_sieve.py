@@ -1,10 +1,11 @@
 import hashlib
+import random
 import threading
 import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import quadsieve.sieve as sieve
 from quadsieve import (
@@ -180,11 +181,58 @@ class TestSieveRange:
         with pytest.raises(BadFactorizationError, match="out of position order"):
             shuffled.check()
 
-    def test_term_verify_catches_corruption(self):
-        t = Term(4, 65, ((5, 1), (13, 1)))
+    @pytest.mark.parametrize(
+        "term,message",
+        [
+            (Term(4, 65, ((65, 1),)), "term 4: factor 65 is not prime"),
+            (Term(1, 5, ((1, 1), (5, 1))), "term 1: factor 1 is not prime"),
+            (Term(9, 325, ((5, 1), (13, 1))), "term 9: factors multiply to 65, not 325"),
+            (Term(4, 65, ((13, 1), (5, 1))), "term 4: factors out of order"),
+            (Term(4, 65, ((3, 1), (5, 1), (13, 1))), r"term 4: bad factor 3\^1"),
+            (Term(4, 65, ((5, 1), (13, 1), (17, 0))), r"term 4: bad factor 17\^0"),
+        ],
+        ids=["composite", "factor-1", "missing-power", "swapped", "class-3", "zero-exponent"],
+    )
+    def test_term_verify_catches_corruption(self, term, message):
+        Term(term.n, term.value, tuple(naive_factor(term.value))).verify()
+        with pytest.raises(BadFactorizationError, match=f"^{message}$"):
+            term.verify()
+
+    def test_sampled_terms_equal_trial_division_and_certify(self):
+        n_max = 2 * 10**5
+        sample = set(random.Random(n_max).sample(range(1, n_max + 1), 300))
+        certified = 0
+        for t in sieve_range(n_max):
+            if t.n in sample:
+                assert list(t.factors) == naive_factor(t.value), t.n
+                t.verify()
+                certified += 1
+        assert certified == len(sample)
+
+    @given(
+        n=st.integers(min_value=1, max_value=2 * 10**5),
+        kind=st.sampled_from(["composite", "missing-power", "swapped", "class-3", "zero-exponent"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_term_verify_refuses_a_corrupted_sieved_term(self, n, kind):
+        (t,) = sieve_range(n, start=n)
         t.verify()
-        with pytest.raises(Exception):
-            Term(4, 65, ((13, 1),)).verify()
+        fs = list(t.factors)
+        (p, e), rest = fs[0], fs[1:]
+        if kind == "composite":  # the whole value as one factor: class and product kept
+            assume(not t.is_prime_term)
+            fs = [(t.value, 1)]
+        elif kind == "missing-power":
+            fs = [(p, e - 1), *rest] if e > 1 else rest
+        elif kind == "swapped":
+            assume(rest)
+            fs = [rest[0], (p, e), *rest[1:]]
+        elif kind == "class-3":
+            fs = [(3, 1), *fs]
+        else:  # a factor that ascends and keeps the product, with exponent 0
+            fs.append((fs[-1][0] + 4, 0))
+        with pytest.raises(BadFactorizationError):
+            Term(t.n, t.value, tuple(fs)).verify()
 
 
 class TestTermContract:

@@ -97,6 +97,22 @@ def test_lemma1_counts_a_bad_term_once(monkeypatch):
     assert result.examples == ["term 2: bad factor 3^1"]
 
 
+def test_second_proof_reports_a_factorization_the_certifier_refuses(monkeypatch):
+    # at k = 3, N = 5 * 17 * 37 = 3145 and the value 39564101 = 197 * 229 * 877;
+    # an oracle that calls it prime is refused by Term.verify, and the
+    # primality flag, which is_prime sets, disagrees with it too
+    original = oracle.naive_factor
+    monkeypatch.setattr(
+        oracle, "naive_factor", lambda v: [(39564101, 1)] if v == 39564101 else original(v)
+    )
+    result = run_suite("second-proof", 3)
+    assert (result.cases, result.failures) == (3, 2)
+    assert result.examples == [
+        "k=3: term 3145: factor 39564101 is not prime",
+        "k=3: primality flag disagrees with factorization",
+    ]
+
+
 def test_lemma2_reports_prime_terms_when_is_prime_says_composite(monkeypatch):
     # a prime value shares no factor with any smaller value, so a primality
     # test that calls everything composite turns each prime term into a
