@@ -58,9 +58,7 @@ def _hits(n: int, p: np.ndarray, off: np.ndarray):
 
 def least_roots_bulk(primes: np.ndarray) -> np.ndarray:
     """Least roots of 4*z**2 + 1 = 0 (mod p) for an array of primes = 1 mod 4."""
-    if primes.size == 0:
-        return np.empty(0, dtype=np.int64)
-    if primes.max() > 2 * MAX_INDEX:  # p*p must stay below 2**63
+    if primes.max(initial=0) > 2 * MAX_INDEX:  # p*p must stay below 2**63
         raise RangeError(f"prime {primes.max()} exceeds the int64 ceiling {2 * MAX_INDEX}")
     # smallest non-residue c per prime (c**((p-1)/2) = -1), found by a masked search
     c, todo, cand = np.empty_like(primes), np.arange(primes.size), 2
@@ -90,7 +88,7 @@ def strike_segment(lo: int, hi: int, primes: np.ndarray, roots: np.ndarray):
     rules out a repeated entry, so the keys are distinct and need no stable sort.
     """
     check_index_range(hi - 1)
-    if primes.size and primes.max() > 2 * MAX_INDEX:  # the prime field of a key
+    if primes.max(initial=0) > 2 * MAX_INDEX:  # the prime field of a key
         raise RangeError(f"prime {primes.max()} exceeds the int64 ceiling {2 * MAX_INDEX}")
     n = hi - lo
     cof = np.arange(lo, hi, dtype=np.int64)

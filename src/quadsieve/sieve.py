@@ -142,19 +142,17 @@ PrimeBasis = tuple[BasisPrime, ...]
 def primes_1mod4(limit: int) -> np.ndarray:
     """All primes p <= limit with p = 1 (mod 4), ascending int64.
 
-    A limit past the plan's own prime ceiling 2*MAX_INDEX is refused
-    before the sieve array is allocated."""
+    Slot k stands for 4k + 1; slot 0, which is 1, is not prime.  An odd q has
+    q*q = 1 (mod 4) and its later multiples in the class step by 4q, which is
+    q slots; a composite q strikes only slots its prime factors already struck.
+    A limit past 2*MAX_INDEX is refused before the slots are allocated."""
     if limit > 2 * MAX_INDEX:
         raise RangeError(f"prime limit {limit} exceeds the int64 ceiling {2 * MAX_INDEX}")
-    if limit < 5:
-        return np.empty(0, dtype=np.int64)
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    primes = np.flatnonzero(sieve).astype(np.int64)
-    return primes[primes % 4 == 1]
+    slots = np.ones(max(limit + 3, 0) // 4, dtype=bool)
+    slots[:1] = False
+    for q in range(3, math.isqrt(max(limit, 0)) + 1, 2):
+        slots[(q * q - 1) // 4 :: q] = False
+    return 4 * np.flatnonzero(slots) + 1
 
 
 class Plan(NamedTuple):

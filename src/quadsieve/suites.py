@@ -160,6 +160,7 @@ def suite_lemma1(limit: int) -> SuiteResult:
 
 def suite_lemma2(limit: int) -> SuiteResult:
     """Coprimality with every earlier term implies the term is prime."""
+    check_index_range(limit)  # refused at once, not at the first n past the ceiling
     res = SuiteResult("lemma2", limit)
     for n in range(2, limit + 1):
         res.cases += 1

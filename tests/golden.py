@@ -3,7 +3,25 @@
 Values and factorizations were hand-checked against trial division before
 the sieve was written.  `factors` is present exactly where the reference
 table shows an explicit factorization; the plain entries are all prime.
+prime_flags is the tests' one plain Eratosthenes, the independent reference
+for the library's prime sieve and primality test.
 """
+
+import math
+
+import numpy as np
+
+
+def prime_flags(limit: int) -> np.ndarray:
+    """flags[v] is True exactly when v is prime, for 0 <= v <= limit: a sieve
+    over every integer, sharing nothing with the library's sieve."""
+    flags = np.ones(max(limit + 1, 0), dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(max(limit, 0)) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return flags
+
 
 GOLDEN_30 = [
     (1, 5, None),

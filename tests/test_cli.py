@@ -481,6 +481,14 @@ class TestVerify:
         assert err == f"error: prime limit 10000000000000 exceeds the int64 ceiling {2 * kernels.MAX_INDEX}\n"
 
 
+    def test_index_limit_past_the_ceiling_is_refused_before_lemma2_scans(self, capsys, monkeypatch):
+        monkeypatch.setattr(suites, "lemma2_witness", lambda n: pytest.fail(f"witnessed {n}"))
+        limit = str(kernels.MAX_INDEX + 1)
+        code, out, err = run_cli(capsys, "verify", "--suite", "lemma2", "--limit", limit)
+        assert code == 2 and out == ""
+        assert err == f"error: index {limit} exceeds the int64 ceiling {kernels.MAX_INDEX}\n"
+
+
 class TestBench:
     def test_digest_stability(self, capsys):
         digests = set()

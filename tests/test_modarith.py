@@ -24,6 +24,8 @@ from quadsieve._kernels import least_roots_bulk
 from quadsieve.modarith import _MR_TIERS, _MR_WITNESSES
 from quadsieve.sieve import primes_1mod4
 
+from golden import prime_flags
+
 # the prime factors of each bound psi_k in the witness table
 _TIER_FACTORS = {
     2047: (23, 89),
@@ -61,21 +63,13 @@ class TestIsPrime:
 
     def test_dense_range_against_sieve(self):
         limit = 200_000
-        flags = np.ones(limit + 1, dtype=bool)
-        flags[:2] = False
-        for p in range(2, int(limit**0.5) + 1):
-            if flags[p]:
-                flags[p * p :: p] = False
+        flags = prime_flags(limit)
         for v in range(2, limit + 1):
             assert is_prime(v) == bool(flags[v]), v
 
     def test_random_sample_against_sieve(self):
         limit = 10**7
-        flags = np.ones(limit + 1, dtype=bool)
-        flags[:2] = False
-        for p in range(2, int(limit**0.5) + 1):
-            if flags[p]:
-                flags[p * p :: p] = False
+        flags = prime_flags(limit)
         rng = np.random.default_rng(7)
         for v in rng.integers(2, limit, size=20_000).tolist():
             assert is_prime(v) == bool(flags[v]), v
@@ -240,11 +234,7 @@ class TestSqrtMinusOne:
         with pytest.raises(NoRootsError):
             sqrt_minus_one(7)
         # exhaustive: class-3 primes admit no roots at all
-        flags = np.ones(100_001, dtype=bool)
-        flags[:2] = False
-        for p in range(2, 317):
-            if flags[p]:
-                flags[p * p :: p] = False
+        flags = prime_flags(100_000)
         for p in np.flatnonzero(flags).tolist():
             if p % 4 == 3:
                 assert naive_root_scan(p) == [], p

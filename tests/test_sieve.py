@@ -21,10 +21,10 @@ from quadsieve import (
     sieve_range,
     term_value,
 )
-from quadsieve._kernels import MAX_INDEX
+from quadsieve._kernels import MAX_INDEX, least_roots_bulk
 from quadsieve.sieve import CHUNK_FLOOR, _segments, primes_1mod4
 
-from golden import FIRST_BASIS_8, GOLDEN_30, PRIME_INDICES_30
+from golden import FIRST_BASIS_8, GOLDEN_30, PRIME_INDICES_30, prime_flags
 
 
 class TestGolden:
@@ -49,12 +49,7 @@ class TestSieveRange:
         # independent full-scale check: divide every value by every prime
         # up to sqrt(max value), vectorized, and rebuild factorizations
         limit = 10_000
-        flags = np.ones(20_002, dtype=bool)
-        flags[:2] = False
-        for p in range(2, 142):
-            if flags[p]:
-                flags[p * p :: p] = False
-        primes = np.flatnonzero(flags).astype(np.int64)
+        primes = np.flatnonzero(prime_flags(20_001)).astype(np.int64)
         terms = list(sieve_range(limit))
         values = np.array([t.value for t in terms], dtype=np.int64)
         for start in range(0, limit, 2000):
@@ -322,6 +317,40 @@ class TestDigestPipeline:
                 done[e[1]] += e[2]
             elif (k := lows.index(e[1])) >= 2:
                 assert done[lows[k - 2]] == total[lows[k - 2]], e
+
+
+def _reference_1mod4(limit: int) -> np.ndarray:
+    primes = np.flatnonzero(prime_flags(limit))
+    return primes[primes % 4 == 1]
+
+
+class TestPrimes1Mod4:
+    def test_equals_plain_eratosthenes_below_3000(self):
+        reference = _reference_1mod4(3000)
+        for limit in range(-5, 3000):
+            got = primes_1mod4(limit)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, reference[reference <= limit]), limit
+
+    @pytest.mark.parametrize("limit", [2 * 10**6 - 1, 2 * 10**6 + 1])
+    def test_equals_plain_eratosthenes_near_2e6(self, limit):
+        got = primes_1mod4(limit)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _reference_1mod4(limit))
+
+    def test_counts(self):
+        assert [primes_1mod4(limit).size for limit in (10**6, 2 * 10**6, 2 * 10**7)] == [
+            39_175,
+            74_416,
+            635_170,
+        ]
+
+    def test_empty_plan_takes_the_same_path(self):
+        roots = least_roots_bulk(np.empty(0, dtype=np.int64))
+        assert roots.dtype == np.int64 and roots.size == 0
+        assert list(sieve_range(1)) == [Term(1, 5, ((5, 1),))]
+        assert list(sieve_range(2)) == [Term(1, 5, ((5, 1),)), Term(2, 17, ((17, 1),))]
+        assert sieve.terms_digest(1) == "a4d369d0362cc037d35c8fb95fa56b85"
 
 
 class TestEnumeratePrimes:
