@@ -11,10 +11,11 @@ the full root set of d, and d = 1 contributes n (one empty root 0).  Each
 floor term (n + z) // d counts indices m <= n with m = -z (mod d), and
 root sets are closed under negation, so the inner sum counts exactly the
 indices whose value d divides.  At horizon n = N every floor collapses
-to N // d and the whole sum telescopes to the product of (p - 2).  Each
-root set is one roots.extend_roots step from the divisor with one prime
-fewer, and no root comes from the basis entries, whose least roots the
-direct route strikes.
+to N // d and the whole sum telescopes to the product of (p - 2).  The
+divisors are walked depth first: each root set is one roots.extend_roots
+step from its parent, the divisor without its last prime, and only the
+current path and its pending siblings are kept.  No root comes from the
+basis entries, whose least roots the direct route strikes.
 
 The direct route marks struck indices and counts the survivors.  By
 Lemma 3 the marks of the smallest basis primes repeat with the period of
@@ -23,7 +24,6 @@ their product, so they are built once and copied into every chunk.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -93,11 +93,9 @@ def product_formula(basis) -> int:
     entries = tuple(basis)
     if not entries:
         raise ValueError("basis must be nonempty")
-    value = 1
-    for b in entries:
-        value *= b.prime - 2
-        if value > U64_MAX:
-            raise RangeError("product of (p - 2) exceeds the 64-bit range")
+    value = math.prod(b.prime - 2 for b in entries)
+    if value > U64_MAX:
+        raise RangeError("product of (p - 2) exceeds the 64-bit range")
     return value
 
 
@@ -119,19 +117,18 @@ def _ie_with_table(entries: PrimeBasis, horizon: int) -> tuple[int, dict[int, in
     # entries' least roots, which are what the direct count strikes
     prime_roots = [sqrt_minus_one(p) for p in primes]
     total, nu_table = horizon, {1: 0}  # d = 1 and its one empty root 0
-    # combinations() lists each subset after the one it extends by its last
-    # prime, a level down: one extend_roots step per divisor
-    prev = {(): None}
-    for nu in range(1, len(primes) + 1):
-        level = {}
-        for chosen in itertools.combinations(range(len(primes)), nu):
-            i = chosen[-1]
-            root_set = level[chosen] = extend_roots(prev[chosen[:-1]], primes[i], prime_roots[i])
-            d = root_set.m
+    # depth first: a popped root set takes each later prime by one extend_roots
+    # step, and the stack holds only the pending siblings on the current path
+    stack = [(None, 0)]  # (root set, index of the first prime it may take)
+    while stack:
+        parent, start = stack.pop()
+        for i in range(start, len(primes)):
+            root_set = extend_roots(parent, primes[i], prime_roots[i])
+            d, nu = root_set.m, root_set.nu
             nu_table[d] = nu
             inner = sum((horizon + z) // d for z in root_set.roots)
             total += -inner if nu % 2 else inner
-        prev = level
+            stack.append((root_set, i + 1))
     return total, nu_table
 
 
@@ -202,13 +199,19 @@ def census(basis, horizon: int | None = None) -> CensusReport:
     )
 
 
-def verify_main_identity(k: int) -> CensusReport:
-    """Report at horizon N for the first-k basis; equality is reported, not forced.
-
-    Desk-scale guard: k <= 5 keeps N small enough for the direct count.
-    """
-    if not (1 <= k <= 5):
+def check_identity_k(k: int) -> None:
+    if not (1 <= k <= 5):  # desk scale: N stays small enough for the direct count
         raise RangeError(f"identity check supports 1 <= k <= 5, got {k}")
+
+
+def check_witness_k(k: int) -> None:
+    if not (1 <= k <= 5):  # desk scale: the value stays small enough to trial-divide
+        raise RangeError(f"witness supports 1 <= k <= 5 at desk scale, got {k}")
+
+
+def verify_main_identity(k: int) -> CensusReport:
+    """Report at horizon N for the first-k basis; equality is reported, not forced."""
+    check_identity_k(k)
     return census(first_k_basis(k), horizon=None)
 
 
@@ -220,8 +223,7 @@ def second_proof_witness(k: int) -> SecondProofWitness:
     found here by the oracle's trial division.  Primality of the value is
     reported, never assumed.
     """
-    if not (1 <= k <= 5):
-        raise RangeError(f"witness supports 1 <= k <= 5 at desk scale, got {k}")
+    check_witness_k(k)
     basis = first_k_basis(k)
     n_product = _product(b.prime for b in basis)
     value = term_value(n_product)

@@ -45,7 +45,7 @@ from .sieve import (
     sieve_range,
     term_value,
 )
-from .suites import DEFAULT_LIMITS, SUITES, run_suite
+from .suites import DEFAULT_LIMITS, SUITES, check_limit, run_suite
 
 # fixed CSV column orders; never reorder within a release
 CSV_COLUMNS = {
@@ -238,6 +238,8 @@ def cmd_census(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    for name in names:  # a limit any suite refuses is refused before the first runs
+        check_limit(name, args.limit)
     emit = Emitter(args.format)
     worst = 0
     for name in names:

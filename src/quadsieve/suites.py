@@ -18,6 +18,8 @@ import numpy as np
 from . import modarith, oracle
 from ._kernels import check_index_range, least_roots_bulk
 from .census import (
+    check_identity_k,
+    check_witness_k,
     exact_coprime_count,
     inclusion_exclusion_count,
     second_proof_witness,
@@ -160,7 +162,6 @@ def suite_lemma1(limit: int) -> SuiteResult:
 
 def suite_lemma2(limit: int) -> SuiteResult:
     """Coprimality with every earlier term implies the term is prime."""
-    check_index_range(limit)  # refused at once, not at the first n past the ceiling
     res = SuiteResult("lemma2", limit)
     for n in range(2, limit + 1):
         res.cases += 1
@@ -195,27 +196,23 @@ def suite_lemma3(limit: int) -> SuiteResult:
 def suite_lemma4(limit: int) -> SuiteResult:
     """Least-root bounds: sqrt(m-1)/2 <= r <= (m-1)/2 and cofactor <= m-2.
 
-    A least root outside the bounds is a counterexample at its m, and the
-    walk goes on.  A fault while iter_pp builds a root set (the prime-root
-    kernel, or a prime root, lift or CRT that fails its own check) ends the
-    walk and is recorded as one failure, never raised: every later root set
-    depends on it.
+    One loop over the walk.  A least root outside the bounds is a
+    counterexample at its m, and the loop goes on.  A fault while iter_pp
+    builds a root set (the prime-root kernel, or a prime root, lift or CRT
+    that fails its own check) leaves the loop and is recorded as one
+    failure, never raised: every later root set depends on it.
     """
     res = SuiteResult("lemma4", limit)
     walk = iter_pp(limit)  # an out-of-range limit is refused here, not recorded
-    while True:
-        try:
-            m, _, root_set = next(walk)
-        except StopIteration:
-            break
-        except (QuadsieveError, AssertionError, ValueError) as exc:
-            res.fail(f"walk stopped after {res.cases} root sets: {exc}")
-            break
-        res.cases += 1
-        try:
-            root_summary(root_set)  # RootSummary refuses a root outside the bounds
-        except (QuadsieveError, AssertionError) as exc:
-            res.fail(f"m={m}: {exc}")
+    try:
+        for m, _, root_set in walk:
+            res.cases += 1
+            try:
+                root_summary(root_set)  # RootSummary refuses a root outside the bounds
+            except AssertionError as exc:  # all that root_summary raises on a built set
+                res.fail(f"m={m}: {exc}")
+    except (QuadsieveError, AssertionError, ValueError) as exc:
+        res.fail(f"walk stopped after {res.cases} root sets: {exc}")
     return res
 
 
@@ -296,11 +293,29 @@ SUITES = {
 }
 
 
-def run_suite(name: str, limit: int | None = None) -> SuiteResult:
+# the refusal each suite would meet at its start, checked before it runs
+_LIMIT_GUARDS = {
+    "lemma1": check_index_range,
+    "lemma2": check_index_range,
+    "lemma3": check_index_range,
+    "main-identity": check_identity_k,
+    "second-proof": check_witness_k,
+}
+
+
+def check_limit(name: str, limit: int | None = None) -> int:
+    """The limit that run_suite(name, limit) runs at, or the refusal it would raise."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if limit is None:
         limit = DEFAULT_LIMITS[name]
-    if limit < 1:  # refused before any suite starts work
+    if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
+    if name in _LIMIT_GUARDS:
+        _LIMIT_GUARDS[name](limit)
+    return limit
+
+
+def run_suite(name: str, limit: int | None = None) -> SuiteResult:
+    limit = check_limit(name, limit)  # refused before the suite starts work
     return SUITES[name](limit)

@@ -206,3 +206,13 @@ def test_digest_1e8_pinned_and_certified():
     elapsed = done()
     report(12, ok, "terms 1..10^8 digest pinned; 10^4 sampled terms certified", elapsed)
     assert ok
+
+
+@pytest.mark.slow
+def test_digest_1e8_pinned_at_segment_size_2_18():
+    # strike keys with offsets above 16 bits at 10^8; about 135 s on a 2-vCPU machine
+    done = timed(600.0)
+    ok = terms_digest(10**8, 262144) == DIGEST_1E8
+    elapsed = done()
+    report(13, ok, "terms 1..10^8 digest pinned at segment size 2^18", elapsed)
+    assert ok

@@ -481,6 +481,23 @@ class TestVerify:
         assert err == f"error: prime limit 10000000000000 exceeds the int64 ceiling {2 * kernels.MAX_INDEX}\n"
 
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--limit", "6"], "identity check supports 1 <= k <= 5, got 6"),
+         (["--suite", "second-proof", "--limit", "6"],
+          "witness supports 1 <= k <= 5 at desk scale, got 6"),
+         (["--limit", "1518500250"], "index 1518500250 exceeds the int64 ceiling 1518500249")],
+    )
+    def test_limit_a_later_suite_refuses_is_refused_before_any_suite_runs(
+        self, capsys, monkeypatch, argv, message
+    ):
+        # lemma1 would sieve first; the refusal that comes first in suite order is named
+        monkeypatch.setattr(sieve, "primes_1mod4", lambda limit: pytest.fail(f"sieved to {limit}"))
+        for name in suites.SUITES:
+            monkeypatch.setitem(suites.SUITES, name, lambda limit: pytest.fail("a suite ran"))
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_index_limit_past_the_ceiling_is_refused_before_lemma2_scans(self, capsys, monkeypatch):
         monkeypatch.setattr(suites, "lemma2_witness", lambda n: pytest.fail(f"witnessed {n}"))
         limit = str(kernels.MAX_INDEX + 1)
@@ -545,6 +562,20 @@ class TestBench:
         code, out, err = run_cli(capsys, "bench", "--limit", "1000", "--format", "json-lines")
         assert code == 1 and out == ""
         assert err.startswith("error: internal invariant failed: struck factors of index")
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 9: no check yet that the plan is whole")
+    def test_plan_missing_a_prime_exits_1(self, capsys, monkeypatch):
+        # at index 856907 the leftover is 1298641 * 2261717, above 2n, so the
+        # segment checks pass the composite 2937158426597 as a prime
+        original = sieve.primes_1mod4
+
+        def without_1298641(limit):
+            primes = original(limit)
+            return primes[primes != 1298641]
+
+        monkeypatch.setattr(sieve, "primes_1mod4", without_1298641)
+        code, _, _ = run_cli(capsys, "bench", "--limit", "1000000", "--format", "json-lines")
+        assert code == 1
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_strike_failure_after_the_first_segment_ends_the_hasher(self, capsys, monkeypatch, workers):

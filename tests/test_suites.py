@@ -1,3 +1,4 @@
+import importlib
 import json
 import sys
 from collections import Counter
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from quadsieve import modarith, naive_factor, naive_root_scan, oracle, suites
+from quadsieve.errors import RangeError
 from quadsieve.roots import RootSummary
 from quadsieve.sieve import SieveSegment, Term, term_value
 from quadsieve.cli import main
@@ -29,6 +31,14 @@ class TestRegistry:
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             run_suite("lemma9")
+
+
+def test_second_proof_refuses_k6_before_building_a_witness(monkeypatch):
+    census = importlib.import_module("quadsieve.census")  # the package exports census()
+    for module in (census, suites):
+        monkeypatch.setattr(module, "second_proof_witness", lambda k: pytest.fail(f"built k={k}"))
+    with pytest.raises(RangeError, match="witness supports 1 <= k <= 5 at desk scale, got 6"):
+        run_suite("second-proof", 6)
 
 
 def test_iter_pp_matches_trial_division():
